@@ -11,8 +11,8 @@
 //!   apply/rollback cycle);
 //! * **safe-order search** — [`concordia_core::search_safe_order`] finds
 //!   an order of the *same* steps under which every step commits, and the
-//!   result is a pure function of the seed: `--jobs 1` and `--jobs
-//!   $(nproc)` produce byte-identical JSON (CI runs both and diffs);
+//!   result is a pure function of the seed: `--jobs 1` and `--jobs 8`
+//!   produce byte-identical JSON (CI runs both and diffs);
 //! * **fault soak** — the safe order still loses no work when core-loss
 //!   and core-stall fault windows overlap the transitions.
 //!
@@ -24,7 +24,7 @@
 //! `cargo run -p concordia-bench --release --bin reconfig_soak -- --quick --check`
 
 use concordia_bench::{banner, bool_flag, jobs_from_args, write_json, RunLength};
-use concordia_core::runner::run_parallel_results;
+use concordia_core::runner::{BatchEval, ParallelEval};
 use concordia_core::{
     search_safe_order, ExperimentReport, ReconfigPlan, ReconfigStep, SearchConfig, SimConfig,
 };
@@ -42,8 +42,8 @@ fn conserved(report: &ExperimentReport) -> bool {
             .all(|l| l.completed == l.injected && l.injected > 0)
 }
 
-fn run_one(cfg: SimConfig, jobs: usize) -> ExperimentReport {
-    run_parallel_results(vec![cfg], jobs)
+fn run_one(cfg: SimConfig, eval: &mut ParallelEval) -> ExperimentReport {
+    eval.eval_batch(vec![cfg])
         .pop()
         .expect("one result")
         .expect("run completes")
@@ -101,12 +101,15 @@ fn main() {
 
     let started = std::time::Instant::now();
     let mut failures: Vec<String> = Vec::new();
+    // One evaluator for every run below: they all share the base's
+    // offline inputs, so Algorithm 1 runs once for the whole soak.
+    let mut eval = ParallelEval::new(jobs);
 
     // ---- 1. Naive order: must violate an invariant, roll back, lose
     //         nothing. ------------------------------------------------
     let mut naive_cfg = base.clone();
     naive_cfg.reconfig = Some(plan.clone());
-    let naive_report = run_one(naive_cfg, jobs);
+    let naive_report = run_one(naive_cfg, &mut eval);
     let naive_rc = naive_report.reconfig.clone().expect("reconfig ran");
     let naive_conserved = conserved(&naive_report);
     println!(
@@ -133,7 +136,7 @@ fn main() {
     }
 
     // ---- 2. Safe-order search over the same steps. -------------------
-    let search = search_safe_order(&base, &plan, SearchConfig::default(), jobs);
+    let search = search_safe_order(&base, &plan, SearchConfig::default(), &mut eval);
     println!(
         "\nsearch: {} evaluations, naive feasible {}, safe order {:?}",
         search.evaluations, search.naive_feasible, search.safe_order
@@ -142,7 +145,7 @@ fn main() {
         Some(order) => {
             let mut safe_cfg = base.clone();
             safe_cfg.reconfig = Some(plan.with_order(order));
-            let safe_report = run_one(safe_cfg, jobs);
+            let safe_report = run_one(safe_cfg, &mut eval);
             let rc = safe_report.reconfig.clone().expect("reconfig ran");
             println!(
                 "safe order {:?}: {}/{} steps committed, {} rollbacks, \
@@ -181,7 +184,7 @@ fn main() {
         fault_cfg.duration,
     );
     fault_cfg.reconfig = Some(plan.with_order(&fault_order));
-    let fault_report = run_one(fault_cfg, jobs);
+    let fault_report = run_one(fault_cfg, &mut eval);
     let fault_rc = fault_report.reconfig.clone().expect("reconfig ran");
     let fault_conserved = conserved(&fault_report);
     println!(
@@ -206,7 +209,7 @@ fn main() {
         .sum();
 
     // Deterministic soak JSON: a pure function of (seed, scenario) — CI
-    // byte-compares a --jobs 1 and a --jobs $(nproc) run. No timing here.
+    // byte-compares a --jobs 1 and a --jobs 8 run. No timing here.
     write_json(
         "reconfig_soak",
         &serde_json::json!({
@@ -234,6 +237,7 @@ fn main() {
         "steps_per_sec": steps_attempted as f64 / wall.max(1e-9),
         "rollbacks": total_rollbacks,
         "search_evaluations": search.evaluations,
+        "offline": eval.offline_phases(),
     });
     std::fs::write(
         "BENCH_reconfig.json",

@@ -16,16 +16,18 @@
 //!   tripped through JSON exactly as `concordia --replay` does, re-runs
 //!   to byte-identical failing reports (fingerprint match);
 //! * **determinism** — the whole SearchReport is a pure function of
-//!   `(config, strategy, seed)`: `--jobs 1` and `--jobs $(nproc)`
-//!   produce byte-identical JSON (checked in-process here; CI also runs
-//!   the binary twice and diffs the soak JSON);
+//!   `(config, strategy, seed)`: `--jobs 1` and `--jobs 8` produce
+//!   byte-identical JSON (checked in-process here; CI also runs the
+//!   binary twice and diffs the soak JSON). Eight workers outnumber the
+//!   offline-input keys, so several wait on one shared feature selection;
 //!
 //! and one negative control: the same search against a generously
 //! provisioned 20 MHz deployment finds nothing.
 //!
 //! `--check` exits non-zero when any property fails (CI gate). Timing
-//! figures go to `BENCH_search.json` in the working directory, separate
-//! from the deterministic soak JSON.
+//! figures and the offline phases the evaluators ran go to
+//! `BENCH_search.json` in the working directory, separate from the
+//! deterministic soak JSON.
 //!
 //! Example:
 //! `cargo run -p concordia-bench --release --bin search_soak -- --quick --check`
@@ -89,16 +91,19 @@ fn sla() -> Oracle {
     }
 }
 
-fn run_planted(base: &SimConfig, settings: &SearchSettings, jobs: usize) -> SearchReport {
+fn run_planted(
+    base: &SimConfig,
+    settings: &SearchSettings,
+    eval: &mut ParallelEval,
+) -> SearchReport {
     let space = SearchSpace::around(base);
-    let mut eval = ParallelEval::new(jobs);
     run_search(
         base,
         &space,
         &sla(),
         Strategy::Random { batch: 4 },
         settings,
-        &mut eval,
+        eval,
     )
 }
 
@@ -141,7 +146,10 @@ fn main() {
     let mut failures: Vec<String> = Vec::new();
 
     // ---- 1+2. Find and shrink the planted counterexample. ------------
-    let report = run_planted(&base, &settings, jobs);
+    // The search, its shrinks and the replay share one evaluator, and so
+    // one Algorithm 1 pass per set of offline inputs.
+    let mut eval = ParallelEval::new(jobs);
+    let report = run_planted(&base, &settings, &mut eval);
     println!("\n{}", report.one_liner());
     let ce = match report.counterexamples.first() {
         Some(ce) => {
@@ -184,7 +192,7 @@ fn main() {
     let replay_outcome = ce.as_ref().map(|ce| {
         let json = ce.artifact.to_canonical_json();
         let artifact = ReproArtifact::from_json(&json).expect("own artifact is valid");
-        let outcome = replay(&artifact, &mut ParallelEval::new(jobs));
+        let outcome = replay(&artifact, &mut eval);
         println!(
             "\nreplay: failed {} | reproduced {} | fingerprint {}",
             outcome.verdict.failed, outcome.reproduced, outcome.fingerprint
@@ -199,7 +207,8 @@ fn main() {
     });
 
     // ---- 4. Jobs-invariance: the report is byte-identical at 1 worker.
-    let single = run_planted(&base, &settings, 1);
+    let mut single_eval = ParallelEval::new(1);
+    let single = run_planted(&base, &settings, &mut single_eval);
     let jobs_match = single.to_canonical_json() == report.to_canonical_json();
     println!(
         "determinism: --jobs 1 vs --jobs {jobs} report bytes {}",
@@ -226,13 +235,14 @@ fn main() {
         max_counterexamples: 1,
         corpus: Vec::new(),
     };
+    let mut clean_eval = ParallelEval::new(jobs);
     let clean_report = run_search(
         &clean,
         &SearchSpace::around(&clean),
         &sla(),
         Strategy::Random { batch: 4 },
         &clean_settings,
-        &mut ParallelEval::new(jobs),
+        &mut clean_eval,
     );
     println!("\nnegative control: {}", clean_report.one_liner());
     if clean_report.found() {
@@ -246,7 +256,7 @@ fn main() {
     let evaluations = report.evaluations + single.evaluations + clean_report.evaluations;
 
     // Deterministic soak JSON: a pure function of the seed and the
-    // scenario — CI byte-compares a --jobs 1 and a --jobs $(nproc) run.
+    // scenario — CI byte-compares a --jobs 1 and a --jobs 8 run.
     write_json(
         "search_soak",
         &serde_json::json!({
@@ -269,6 +279,7 @@ fn main() {
         "evals_per_sec": evaluations as f64 / wall.max(1e-9),
         "counterexamples": report.counterexamples.len(),
         "shrink_rounds": ce.as_ref().map_or(0, |ce| ce.shrink_trace.len()),
+        "offline": eval.offline_phases() + single_eval.offline_phases() + clean_eval.offline_phases(),
     });
     std::fs::write(
         "BENCH_search.json",

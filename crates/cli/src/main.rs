@@ -322,6 +322,11 @@ fn run_search_cli(
         &mut eval,
     );
     println!("{}", report.one_liner());
+    let offline = eval.offline_phases();
+    println!(
+        "  offline: {} profiles, {} per-kind Algorithm 1 selections",
+        offline.profiles, offline.selections
+    );
     for (i, ce) in report.counterexamples.iter().enumerate() {
         println!(
             "  ce #{i}: found {} -> minimal {} after {} shrink rounds ({} runs)",

@@ -73,6 +73,12 @@ impl PredictorChoice {
             PredictorChoice::Oracle => "oracle",
         }
     }
+
+    /// Whether the model is fitted on Algorithm 1's selected features;
+    /// the pWCET and oracle models read none.
+    pub(crate) fn reads_features(self) -> bool {
+        !matches!(self, PredictorChoice::PwcetEvt | PredictorChoice::Oracle)
+    }
 }
 
 /// The collocated best-effort load of an experiment.

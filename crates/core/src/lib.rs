@@ -8,7 +8,8 @@
 //! * [`config`] — experiment configuration (cells × cores × scheduler ×
 //!   predictor × colocation × load × deadline).
 //! * [`profile`] — the offline profiling phase and predictor training
-//!   (§4.2, §5).
+//!   (§4.2, §5), and the cache that shares feature selections between
+//!   experiments with the same offline inputs.
 //! * [`sim`] — the online slot loop: traffic → DAGs → predictions →
 //!   scheduling → execution → online adaptation.
 //! * [`reconfig`] — live reconfiguration: typed step plans applied to a
@@ -31,6 +32,7 @@ pub use concordia_traffic::scenario::{
     Platform, ScenarioError, ScenarioKind, ScenarioRuntime, ScenarioSpec,
 };
 pub use config::{Colocation, PredictorChoice, SchedulerChoice, SimConfig};
+pub use profile::{OfflineCache, OfflinePhases};
 pub use reconfig::{
     search_safe_order, InvariantConfig, ReconfigPlan, ReconfigPlanError, ReconfigStep,
     SearchConfig, SearchReport,

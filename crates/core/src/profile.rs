@@ -9,7 +9,9 @@
 //! The profiling pass generates randomized slot workloads spanning the
 //! input space, executes their DAG tasks against the cost model in
 //! isolation (varying the pool width, which matters per §4.1), and trains
-//! one predictor per task kind via Algorithm 1 feature selection.
+//! one predictor per task kind via Algorithm 1 feature selection. An
+//! [`OfflineCache`] shares those selections between simulations of one
+//! sweep or evaluator whose offline inputs are the same.
 
 use crate::config::PredictorChoice;
 use concordia_predictor::api::{InflatedPredictor, ModelBank, TrainingSample, WcetPredictor};
@@ -28,6 +30,9 @@ use concordia_ran::task::TaskKind;
 use concordia_ran::time::Nanos;
 use concordia_sched::supervisor::{PredictorSupervisor, SupervisorConfig};
 use concordia_stats::rng::Rng;
+use serde::Serialize;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Offline profiling dataset: per-kind training samples.
 pub struct ProfilingDataset {
@@ -141,6 +146,15 @@ pub fn profile(
     ProfilingDataset { per_kind }
 }
 
+/// Kinds with fewer profiled samples get no model (e.g. DL tasks on a
+/// UL-only cell, Turbo tasks on an NR cell).
+const MIN_SAMPLES: usize = 100;
+
+/// Algorithm 1 feature selection for one kind's samples.
+fn select_kind(kind: TaskKind, samples: &[TrainingSample]) -> Vec<usize> {
+    select_features(samples, &handpicked(kind), &FeatSelConfig::default())
+}
+
 /// Builds one trained predictor for `kind` from its profiling samples.
 pub fn train_predictor(
     kind: TaskKind,
@@ -149,10 +163,10 @@ pub fn train_predictor(
     cost: &CostModel,
 ) -> Box<dyn WcetPredictor> {
     debug_assert!(!samples.is_empty());
-    let feats = match choice {
-        // The pWCET and oracle models read no selected features.
-        PredictorChoice::PwcetEvt | PredictorChoice::Oracle => Vec::new(),
-        _ => select_features(samples, &handpicked(kind), &FeatSelConfig::default()),
+    let feats = if choice.reads_features() {
+        select_kind(kind, samples)
+    } else {
+        Vec::new()
     };
     fit_predictor(kind, samples, &feats, choice, cost)
 }
@@ -190,21 +204,97 @@ fn fit_predictor(
     }
 }
 
-/// Trains the full per-kind model bank.
-pub fn train_bank(
+/// Algorithm 1's output for one profiling dataset: the selected feature
+/// indices per task kind, each selected on first need and kept. Selection
+/// reads only the kind's samples, never the predictor choice, so one
+/// `Selections` serves every model fitted on that dataset. Each kind has
+/// its own `OnceLock`: the fit loops select and fit kind by kind, in the
+/// allocation order (and so with the peak memory) of selecting inline,
+/// and concurrent builds of one dataset split the kinds between them.
+#[derive(Debug)]
+pub(crate) struct Selections {
+    per_kind: Vec<OnceLock<Vec<usize>>>,
+    /// Algorithm 1 runs so far, one per kind selected.
+    runs: AtomicU64,
+}
+
+impl Selections {
+    /// Nothing selected yet.
+    pub fn new() -> Selections {
+        Selections {
+            per_kind: TaskKind::ALL.iter().map(|_| OnceLock::new()).collect(),
+            runs: AtomicU64::new(0),
+        }
+    }
+
+    /// The features selected for `kind` of `dataset`, running Algorithm 1
+    /// on the first call; later calls must pass the same dataset.
+    fn features(&self, kind: TaskKind, dataset: &ProfilingDataset) -> &[usize] {
+        self.per_kind[kind.index()].get_or_init(|| {
+            self.runs.fetch_add(1, Ordering::Relaxed);
+            select_kind(kind, dataset.samples(kind))
+        })
+    }
+}
+
+/// Fits `choice` for every kind with enough samples to train, taking its
+/// features from `selections`.
+pub(crate) fn fit_bank(
     dataset: &ProfilingDataset,
+    selections: &Selections,
     choice: PredictorChoice,
     cost: &CostModel,
 ) -> ModelBank {
     let mut bank = ModelBank::new();
     for kind in TaskKind::ALL {
         let samples = dataset.samples(kind);
-        if samples.len() < 100 {
+        if samples.len() < MIN_SAMPLES {
             continue; // kind never profiled (e.g. DL tasks on a UL-only cell)
         }
-        bank.insert(kind, train_predictor(kind, samples, choice, cost));
+        // The pWCET and oracle models read no selected features.
+        let feats = if choice.reads_features() {
+            selections.features(kind, dataset)
+        } else {
+            &[]
+        };
+        bank.insert(kind, fit_predictor(kind, samples, feats, choice, cost));
     }
     bank
+}
+
+/// [`train_supervisor`], taking the features from `selections`.
+pub(crate) fn fit_supervisor(
+    dataset: &ProfilingDataset,
+    selections: &Selections,
+    choice: PredictorChoice,
+    cost: &CostModel,
+    cfg: SupervisorConfig,
+) -> PredictorSupervisor {
+    let mut sup = PredictorSupervisor::new(cfg, TaskKind::ALL.len());
+    for kind in TaskKind::ALL {
+        let samples = dataset.samples(kind);
+        if samples.len() < MIN_SAMPLES {
+            continue; // kind never profiled
+        }
+        // One selection serves the primary and its fallback.
+        let feats = selections.features(kind, dataset);
+        let primary = fit_predictor(kind, samples, feats, choice, cost);
+        let fallback = Box::new(InflatedPredictor::new(
+            Box::new(LinearRegression::fit(samples, feats, 0.99999)),
+            cfg.fallback_inflation,
+        ));
+        sup.install(kind.index(), primary, fallback);
+    }
+    sup
+}
+
+/// Trains the full per-kind model bank.
+pub fn train_bank(
+    dataset: &ProfilingDataset,
+    choice: PredictorChoice,
+    cost: &CostModel,
+) -> ModelBank {
+    fit_bank(dataset, &Selections::new(), choice, cost)
 }
 
 /// Builds the predictor control plane from the profiling dataset: per
@@ -217,23 +307,109 @@ pub fn train_supervisor(
     cost: &CostModel,
     cfg: SupervisorConfig,
 ) -> PredictorSupervisor {
-    let mut sup = PredictorSupervisor::new(cfg, TaskKind::ALL.len());
-    let featsel_cfg = FeatSelConfig::default();
-    for kind in TaskKind::ALL {
-        let samples = dataset.samples(kind);
-        if samples.len() < 100 {
-            continue; // kind never profiled
+    fit_supervisor(dataset, &Selections::new(), choice, cost, cfg)
+}
+
+/// Everything the offline phase reads: the arguments of [`profile`], and
+/// so the key under which an [`OfflineCache`] shares selections.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct OfflineInputs {
+    /// The effective cell: any deadline override already applied.
+    pub cell: CellConfig,
+    /// The cost model, scaled to the scenario's platform.
+    pub cost: CostModel,
+    /// Randomized slots per direction.
+    pub profiling_slots: usize,
+    /// Pool width: profiling draws its widths from `1..=cores`.
+    pub cores: u32,
+    /// Seed of the profiling stream.
+    pub seed: u64,
+}
+
+/// How often the offline phases ran through one [`OfflineCache`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+pub struct OfflinePhases {
+    /// Profiling passes: one per simulation built.
+    pub profiles: u64,
+    /// Algorithm 1 runs: one per trainable task kind of each distinct
+    /// set of offline inputs whose models read selected features.
+    pub selections: u64,
+}
+
+impl std::ops::Add for OfflinePhases {
+    type Output = OfflinePhases;
+    fn add(self, other: OfflinePhases) -> OfflinePhases {
+        OfflinePhases {
+            profiles: self.profiles + other.profiles,
+            selections: self.selections + other.selections,
         }
-        // One selection serves the primary and its fallback.
-        let feats = select_features(samples, &handpicked(kind), &featsel_cfg);
-        let primary = fit_predictor(kind, samples, &feats, choice, cost);
-        let fallback = Box::new(InflatedPredictor::new(
-            Box::new(LinearRegression::fit(samples, &feats, 0.99999)),
-            cfg.fallback_inflation,
-        ));
-        sup.install(kind.index(), primary, fallback);
     }
-    sup
+}
+
+/// Shares Algorithm 1's selections between simulations with the same
+/// offline inputs (the arguments of [`profile`]), for the lifetime of one
+/// sweep or evaluator.
+///
+/// Each simulation still draws its own profile (8–80 ms) and fits its own
+/// models, so everything it trains is bit-identical to a cache-free
+/// build; only the selection, a pure function of the profile and most of
+/// the training time, is shared. The map lock is held only to find or
+/// insert an entry, never while Algorithm 1 runs.
+#[derive(Debug, Default)]
+pub struct OfflineCache {
+    entries: Mutex<Vec<(OfflineInputs, Arc<Selections>)>>,
+    // A statistic only (`Relaxed`): the runner reads it after joining its
+    // workers.
+    profiles: AtomicU64,
+}
+
+impl OfflineCache {
+    /// An empty cache.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The offline phases run through this cache so far.
+    pub fn phases(&self) -> OfflinePhases {
+        let entries = self.entries();
+        OfflinePhases {
+            profiles: self.profiles.load(Ordering::Relaxed),
+            selections: entries
+                .iter()
+                .map(|(_, sel)| sel.runs.load(Ordering::Relaxed))
+                .sum(),
+        }
+    }
+
+    /// Draws the profiling dataset for `inputs`. Never cached: a dataset
+    /// is megabytes, and drawing it costs a fraction of selecting on it.
+    pub(crate) fn profile(&self, inputs: &OfflineInputs) -> ProfilingDataset {
+        self.profiles.fetch_add(1, Ordering::Relaxed);
+        profile(
+            &inputs.cell,
+            &inputs.cost,
+            inputs.profiling_slots,
+            inputs.cores,
+            inputs.seed,
+        )
+    }
+
+    /// The selections shared by every simulation with these `inputs`.
+    pub(crate) fn selections(&self, inputs: &OfflineInputs) -> Arc<Selections> {
+        let mut entries = self.entries();
+        if let Some((_, sel)) = entries.iter().find(|(key, _)| key == inputs) {
+            return Arc::clone(sel);
+        }
+        let sel = Arc::new(Selections::new());
+        entries.push((inputs.clone(), Arc::clone(&sel)));
+        sel
+    }
+
+    fn entries(&self) -> MutexGuard<'_, Vec<(OfflineInputs, Arc<Selections>)>> {
+        self.entries
+            .lock()
+            .expect("nothing panics while the offline cache is locked")
+    }
 }
 
 /// Ground-truth oracle predictor (ablation only): the cost model's
@@ -389,6 +565,49 @@ mod tests {
             ..Default::default()
         });
         assert!(sup.predict_us(lane, &x).unwrap() > 0.0);
+    }
+
+    #[test]
+    fn concurrent_fits_select_each_kind_once() {
+        let cell = CellConfig::fdd_20mhz();
+        let cost = CostModel::new();
+        let ds = profile(&cell, &cost, 300, 8, 51);
+        let trainable = TaskKind::ALL
+            .iter()
+            .filter(|&&k| ds.samples(k).len() >= MIN_SAMPLES)
+            .count() as u64;
+        let x = extract(&concordia_ran::task::TaskParams {
+            n_cbs: 3,
+            cb_bits: 8448,
+            pool_cores: 4,
+            ..Default::default()
+        });
+        let predictions = |bank: &ModelBank| -> Vec<Option<Nanos>> {
+            TaskKind::ALL.iter().map(|&k| bank.predict(k, &x)).collect()
+        };
+        let want = predictions(&train_bank(&ds, PredictorChoice::QuantileDt, &cost));
+        // Four fits of one dataset released together share one selection
+        // per kind, and each gets the models a lone fit gets.
+        let sel = Selections::new();
+        let barrier = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            let fits: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        fit_bank(&ds, &sel, PredictorChoice::QuantileDt, &cost)
+                    })
+                })
+                .collect();
+            for fit in fits {
+                assert_eq!(predictions(&fit.join().expect("fit thread")), want);
+            }
+        });
+        assert_eq!(sel.runs.load(Ordering::Relaxed), trainable);
+        // Models that read no features select nothing.
+        let sel = Selections::new();
+        let _ = fit_bank(&ds, &sel, PredictorChoice::PwcetEvt, &cost);
+        assert_eq!(sel.runs.load(Ordering::Relaxed), 0);
     }
 
     #[test]

@@ -21,16 +21,16 @@
 //! transition even when the end state is fine. [`search_safe_order`]
 //! searches the permutation space (greedy move-later repair of the first
 //! failing step, then seeded random shuffles) for an order that commits
-//! every step, evaluating candidates through the jobs-invariant parallel
-//! runner so the result is byte-reproducible and independent of worker
-//! count.
+//! every step, evaluating candidates through a jobs-invariant
+//! [`BatchEval`] so the result is byte-reproducible and independent of
+//! worker count.
 
 use std::collections::HashSet;
 use std::collections::VecDeque;
 
 use crate::config::{PredictorChoice, SimConfig};
 use crate::report::{ReconfigReport, StepOutcome};
-use crate::runner::run_parallel_results;
+use crate::runner::BatchEval;
 use crate::sim::Simulation;
 use concordia_platform::trace::TraceEvent;
 use concordia_ran::time::Nanos;
@@ -602,14 +602,17 @@ pub struct SearchReport {
 /// evaluated in one parallel batch, earliest passing position wins — a
 /// flattened bisection over insertion points); if greedy repair dries up,
 /// fall back to seeded random permutations. Candidates are evaluated via
-/// [`run_parallel_results`], which returns results in input order
-/// regardless of `jobs`, so the outcome is a pure function of
-/// `(base, plan, cfg)`.
+/// `eval`, which returns results in input order regardless of its worker
+/// count, so the outcome is a pure function of `(base, plan, cfg)`. Every
+/// candidate shares the base's offline inputs, so a [`ParallelEval`]
+/// selects features once for the whole search.
+///
+/// [`ParallelEval`]: crate::runner::ParallelEval
 pub fn search_safe_order(
     base: &SimConfig,
     plan: &ReconfigPlan,
     cfg: SearchConfig,
-    jobs: usize,
+    eval: &mut dyn BatchEval,
 ) -> SearchReport {
     let n = plan.steps.len();
     let mut report = SearchReport {
@@ -624,7 +627,7 @@ pub fn search_safe_order(
         return report;
     }
 
-    let evaluate = |orders: &[Vec<usize>], report: &mut SearchReport| -> Vec<OrderOutcome> {
+    let mut evaluate = |orders: &[Vec<usize>], report: &mut SearchReport| -> Vec<OrderOutcome> {
         let configs: Vec<SimConfig> = orders
             .iter()
             .map(|o| SimConfig {
@@ -632,7 +635,7 @@ pub fn search_safe_order(
                 ..base.clone()
             })
             .collect();
-        let results = run_parallel_results(configs, jobs);
+        let results = eval.eval_batch(configs);
         let outcomes: Vec<OrderOutcome> = orders
             .iter()
             .zip(&results)
@@ -827,7 +830,8 @@ mod tests {
     fn empty_plan_searches_trivially() {
         let base = SimConfig::paper_20mhz();
         let plan = ReconfigPlan::new(Vec::new());
-        let r = search_safe_order(&base, &plan, SearchConfig::default(), 1);
+        let mut eval = crate::runner::ParallelEval::new(1);
+        let r = search_safe_order(&base, &plan, SearchConfig::default(), &mut eval);
         assert!(r.naive_feasible);
         assert_eq!(r.safe_order, Some(Vec::new()));
         assert_eq!(r.evaluations, 0);

@@ -4,7 +4,9 @@
 //! configurations; each simulation is single-threaded and deterministic, so
 //! they parallelize perfectly across cores. Workers claim configurations
 //! from a shared atomic cursor and store outcomes by input index, so the
-//! results come back in input order.
+//! results come back in input order. Each call (and each [`ParallelEval`])
+//! builds its simulations through one [`OfflineCache`], so experiments
+//! with the same offline inputs run Algorithm 1 once between them.
 //!
 //! Every experiment runs under [`std::panic::catch_unwind`]: one faulty
 //! configuration (or a bug tripped by a fault-injection scenario) yields an
@@ -14,8 +16,9 @@
 //! failure list only if at least one experiment failed.
 
 use crate::config::SimConfig;
+use crate::profile::{OfflineCache, OfflinePhases};
 use crate::report::ExperimentReport;
-use crate::sim::run_experiment;
+use crate::sim::Simulation;
 use concordia_stats::chacha;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -61,11 +64,22 @@ pub fn run_parallel_results(
     run_parallel_results_with_progress(configs, workers, None)
 }
 
-/// [`run_parallel_results`] with an optional progress callback.
+/// [`run_parallel_results`] with an optional progress callback. The
+/// experiments share one [`OfflineCache`] for the call.
 pub fn run_parallel_results_with_progress(
     configs: Vec<SimConfig>,
     workers: usize,
     progress: Option<ProgressFn>,
+) -> Vec<Result<ExperimentReport, ExperimentFailure>> {
+    run_cached(configs, workers, progress.as_ref(), &OfflineCache::new())
+}
+
+/// The parallel runner, building every simulation through `cache`.
+fn run_cached(
+    configs: Vec<SimConfig>,
+    workers: usize,
+    progress: Option<&ProgressFn>,
+    cache: &OfflineCache,
 ) -> Vec<Result<ExperimentReport, ExperimentFailure>> {
     let total = configs.len();
     if total == 0 {
@@ -78,7 +92,6 @@ pub fn run_parallel_results_with_progress(
         (0..total).map(|_| Mutex::new(None)).collect();
     let configs = &configs;
     let results_ref = &results;
-    let progress_ref = &progress;
     let next_ref = &next;
     let done_ref = &done;
 
@@ -91,17 +104,17 @@ pub fn run_parallel_results_with_progress(
                 }
                 let cfg = configs[idx].clone();
                 let seed = cfg.seed;
-                let outcome =
-                    catch_unwind(AssertUnwindSafe(|| run_experiment(cfg))).map_err(|payload| {
-                        ExperimentFailure {
-                            index: idx,
-                            seed,
-                            message: panic_message(payload),
-                        }
-                    });
+                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    Simulation::with_cache(cfg, cache).run()
+                }))
+                .map_err(|payload| ExperimentFailure {
+                    index: idx,
+                    seed,
+                    message: panic_message(payload),
+                });
                 *results_ref[idx].lock().expect("result slot poisoned") = Some(outcome);
                 let completed = done_ref.fetch_add(1, Ordering::SeqCst) + 1;
-                if let Some(p) = progress_ref {
+                if let Some(p) = progress {
                     p(completed, total);
                 }
             });
@@ -139,13 +152,16 @@ pub trait BatchEval {
     fn evaluations(&self) -> u64;
 }
 
-/// The production [`BatchEval`]: evaluates batches through
-/// [`run_parallel_results`], so outcomes are in input order and
-/// byte-independent of the worker count.
+/// The production [`BatchEval`]: evaluates batches on the parallel
+/// runner, so outcomes are in input order and byte-independent of the
+/// worker count. One [`OfflineCache`] serves every batch of its lifetime,
+/// so a search, its shrinks and its replays select features once per
+/// set of offline inputs.
 #[derive(Debug)]
 pub struct ParallelEval {
     jobs: usize,
     evaluations: u64,
+    cache: OfflineCache,
 }
 
 impl ParallelEval {
@@ -154,7 +170,13 @@ impl ParallelEval {
         ParallelEval {
             jobs: jobs.max(1),
             evaluations: 0,
+            cache: OfflineCache::new(),
         }
+    }
+
+    /// The offline phases its evaluations have run so far.
+    pub fn offline_phases(&self) -> OfflinePhases {
+        self.cache.phases()
     }
 }
 
@@ -164,7 +186,7 @@ impl BatchEval for ParallelEval {
         configs: Vec<SimConfig>,
     ) -> Vec<Result<ExperimentReport, ExperimentFailure>> {
         self.evaluations += configs.len() as u64;
-        run_parallel_results(configs, self.jobs)
+        run_cached(configs, self.jobs, None, &self.cache)
     }
 
     fn evaluations(&self) -> u64 {
@@ -302,6 +324,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 mod tests {
     use super::*;
     use crate::config::Colocation;
+    use crate::sim::run_experiment;
     use concordia_ran::time::Nanos;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;

@@ -13,7 +13,9 @@
 //! clock, whose bytes the single-cell goldens pin.
 
 use crate::config::{Colocation, PredictorChoice, SchedulerChoice, SimConfig};
-use crate::profile::{profile, train_bank, train_supervisor, ProfilingDataset};
+use crate::profile::{
+    fit_bank, fit_supervisor, OfflineCache, OfflineInputs, ProfilingDataset, Selections,
+};
 use crate::reconfig::{ReconfigEngine, ReconfigStep, SlotObservables, StepUndo};
 use crate::report::{
     BackpressureReport, ExperimentReport, FaultReport, FaultWindowReport, SupervisorReport,
@@ -89,9 +91,11 @@ pub struct Simulation {
     /// the ones that never reach the pool's own timeline) are currently
     /// inside an active window, for edge-detected trace events.
     workload_fault_active: [bool; 2],
-    /// The profiling dataset, retained only when a reconfiguration plan
-    /// may hot-swap the predictor (`SwapPredictor` retrains from it).
-    dataset: Option<ProfilingDataset>,
+    /// The profiling dataset and its Algorithm 1 selections, retained
+    /// only when a reconfiguration plan may hot-swap the predictor
+    /// (`SwapPredictor` refits from them, selecting any kind the starting
+    /// model never needed).
+    swap_inputs: Option<(ProfilingDataset, Arc<Selections>)>,
     /// The live-reconfiguration engine; present only for a non-empty
     /// plan, so plain runs skip the hook entirely.
     reconfig: Option<ReconfigEngine>,
@@ -144,6 +148,15 @@ impl Simulation {
     /// predictor bank, and sets up the pool, per-cell traffic sources and
     /// colocation.
     pub fn new(cfg: SimConfig) -> Self {
+        Simulation::with_cache(cfg, &OfflineCache::new())
+    }
+
+    /// [`Simulation::new`], taking Algorithm 1's feature selections from
+    /// `cache` when another simulation built through it had the same
+    /// offline inputs. The models are bit-identical to a cache-free build:
+    /// the selections are a pure function of those inputs, and every fit
+    /// runs here.
+    pub fn with_cache(cfg: SimConfig, cache: &OfflineCache) -> Self {
         let mut cell = cfg.cell;
         if let Some(d) = cfg.deadline_override {
             cell.deadline = d;
@@ -161,13 +174,15 @@ impl Simulation {
 
         // Offline phase (§4.2): isolated vRAN, randomized inputs. The
         // cells share one radio configuration, so one profile serves all.
-        let dataset = profile(
-            &cfg.cell,
-            &cost,
-            cfg.profiling_slots,
-            cfg.cores,
-            cfg.seed ^ 0x0FF_11FE,
-        );
+        let offline = OfflineInputs {
+            cell: cfg.cell,
+            cost: cost.clone(),
+            profiling_slots: cfg.profiling_slots,
+            cores: cfg.cores,
+            seed: cfg.seed ^ 0x0FF_11FE,
+        };
+        let dataset = cache.profile(&offline);
+        let selections = cache.selections(&offline);
         // With a supervisor, the control plane owns the models (one
         // primary + one fallback per lane) and the bank stays empty;
         // training the same primaries twice would double the setup cost.
@@ -178,10 +193,16 @@ impl Simulation {
                 sup_cfg.online_feed = sup_cfg.online_feed && cfg.online_updates;
                 (
                     ModelBank::new(),
-                    Some(train_supervisor(&dataset, cfg.predictor, &cost, sup_cfg)),
+                    Some(fit_supervisor(
+                        &dataset,
+                        &selections,
+                        cfg.predictor,
+                        &cost,
+                        sup_cfg,
+                    )),
                 )
             }
-            None => (train_bank(&dataset, cfg.predictor, &cost), None),
+            None => (fit_bank(&dataset, &selections, cfg.predictor, &cost), None),
         };
 
         let pool = VranPool::new(
@@ -253,14 +274,15 @@ impl Simulation {
             .map(|_| MispredictionGuard::default())
             .collect();
         // A non-empty reconfiguration plan arms the engine and keeps the
-        // profiling dataset alive for predictor hot-swaps; otherwise both
-        // stay `None` and the slot loop is exactly the static one.
+        // profiling dataset and its selections alive for predictor
+        // hot-swaps; otherwise both stay `None` and the slot loop is
+        // exactly the static one.
         let reconfig = cfg
             .reconfig
             .clone()
             .filter(|p| !p.steps.is_empty())
             .map(ReconfigEngine::new);
-        let dataset = reconfig.is_some().then_some(dataset);
+        let swap_inputs = reconfig.is_some().then_some((dataset, selections));
         let initial_cells = cfg.n_cells;
         // Scenario envelope state lives on its own seed stream; all of
         // its randomness is drawn inside `begin_slot`, so a scenario-free
@@ -291,7 +313,7 @@ impl Simulation {
             peak_guard_inflation: 1.0,
             last_traced_admission: AdmissionLevel::Normal,
             workload_fault_active: [false; 2],
-            dataset,
+            swap_inputs,
             reconfig,
             initial_cells,
             wl_scratch: SlotWorkload {
@@ -997,19 +1019,20 @@ impl Simulation {
         self.rebuild_boundary_groups();
     }
 
-    /// Hot-swaps the serving predictor by retraining the bank from the
-    /// retained profiling dataset. Returns the previous choice for undo.
+    /// Hot-swaps the serving predictor by refitting the bank on the
+    /// retained profiling dataset and selections. Returns the previous
+    /// choice for undo.
     fn swap_predictor(&mut self, choice: PredictorChoice) -> Result<PredictorChoice, String> {
         if self.supervisor.is_some() {
             return Err(
                 "swap_predictor: the supervisor control plane owns the serving models".to_string(),
             );
         }
-        let Some(ds) = self.dataset.as_ref() else {
+        let Some((ds, selections)) = self.swap_inputs.as_ref() else {
             return Err("swap_predictor: profiling dataset not retained".to_string());
         };
         let prev = self.cfg.predictor;
-        self.bank = train_bank(ds, choice, &self.cost);
+        self.bank = fit_bank(ds, selections, choice, &self.cost);
         self.cfg.predictor = choice;
         // A freshly trained bank must not inherit inflation the guards
         // earned against its predecessor (same contract as a supervisor

@@ -14,7 +14,8 @@
 //! and review the JSON diff like any other code change.
 
 use concordia_core::{
-    Colocation, ReconfigPlan, ReconfigStep, ScenarioSpec, SchedulerChoice, SimConfig,
+    BatchEval, Colocation, InvariantConfig, ParallelEval, PredictorChoice, ReconfigPlan,
+    ReconfigStep, ScenarioSpec, SchedulerChoice, SimConfig,
 };
 use concordia_platform::arch::PoolArchChoice;
 use concordia_platform::faults::{FaultKind, FaultPlan};
@@ -123,6 +124,63 @@ fn golden_reconfig_three_step_c4() {
     plan.backoff_slots = 10;
     cfg.reconfig = Some(plan);
     check("reconfig_three_step_c4", cfg);
+}
+
+/// A live predictor swap, QDT to linear regression, that is rolled back:
+/// a guard bound below 1.0 (the guard's floor) fails every settle check,
+/// so each of the three attempts serves linear regression for one slot
+/// and swaps back to a refitted QDT bank. Refitting from the retained
+/// selections must keep the bytes of retraining from scratch. Checks
+/// conservation and that the evaluator's worker count changes nothing.
+#[test]
+fn golden_reconfig_swap_predictor_rollback() {
+    let mut cfg = base(2, 31);
+    let mut plan = ReconfigPlan::new(vec![ReconfigStep::SwapPredictor {
+        predictor: PredictorChoice::LinearRegression,
+    }]);
+    plan.start_slot = 60;
+    plan.settle_slots = 30;
+    plan.backoff_slots = 10;
+    plan.invariants.max_guard_inflation = 0.5;
+    cfg.reconfig = Some(plan);
+    check("reconfig_swap_predictor_rollback", cfg.clone());
+
+    let report = concordia_core::run_experiment(cfg.clone());
+    let rc = report.reconfig.as_ref().expect("the plan ran");
+    assert_eq!(
+        (rc.steps[0].attempts, rc.steps[0].rollbacks, rc.feasible),
+        (3, 3, false)
+    );
+    for (cell, ledger) in report.metrics.per_cell.iter().enumerate() {
+        assert!(
+            ledger.injected > 0 && ledger.completed == ledger.injected,
+            "cell {cell} lost work across the swaps"
+        );
+    }
+    // The same swap committed, and one from a pWCET start, whose
+    // selections are computed on first need.
+    let mut committed = cfg.clone();
+    if let Some(plan) = committed.reconfig.as_mut() {
+        plan.invariants = InvariantConfig::default();
+    }
+    let mut from_pwcet = committed.clone();
+    from_pwcet.predictor = PredictorChoice::PwcetEvt;
+    if let Some(plan) = from_pwcet.reconfig.as_mut() {
+        plan.steps[0] = ReconfigStep::SwapPredictor {
+            predictor: PredictorChoice::QuantileDt,
+        };
+    }
+    let batch = vec![cfg, committed, from_pwcet];
+    let runs = |jobs| -> Vec<String> {
+        ParallelEval::new(jobs)
+            .eval_batch(batch.clone())
+            .into_iter()
+            .map(|r| r.expect("swap runs complete").to_canonical_json())
+            .collect()
+    };
+    let serial = runs(1);
+    assert!(serial == runs(4), "swap reports depend on the worker count");
+    assert_eq!(serial[0], report.to_canonical_json());
 }
 
 /// One golden per library scenario, all on a staggered two-cell pool so

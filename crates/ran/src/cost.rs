@@ -34,7 +34,7 @@ pub const MAX_DECODE_ITERS: f64 = 12.0;
 
 /// Calibration constants of the cost model. All `*_us` values are
 /// microseconds; `per_bit` values are microseconds per bit.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CostCalibration {
     /// Fixed dispatch/setup cost added to every task.
     pub task_base_us: f64,
@@ -127,7 +127,7 @@ impl Default for CostCalibration {
 
 /// The task cost model: deterministic expected costs plus stochastic
 /// sampling with interference.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct CostModel {
     /// Calibration constants.
     pub cal: CostCalibration,
