@@ -25,8 +25,12 @@
 //! `--trace` turns the ring-buffer recorder on for every experiment. The
 //! rows are derived from metrics only, so the JSON stays byte-identical
 //! with tracing on or off — CI runs the soak both ways and compares.
+//!
+//! The soak exits 1 unless every fault-class run yields a report, the
+//! broken configuration's panic is contained, and Concordia recovers in
+//! every fault class.
 
-use concordia_bench::{banner, bool_flag, f64_flag, write_json, RunLength};
+use concordia_bench::{banner, bool_flag, f64_flag, write_json, Gate, RunLength};
 use concordia_core::runner::run_parallel_results;
 use concordia_core::{Colocation, ExperimentReport, SchedulerChoice, SimConfig};
 use concordia_platform::faults::{FaultKind, FaultPlan};
@@ -182,6 +186,7 @@ fn main() {
         "recover(us)",
         "recovered"
     );
+    let mut gate = Gate::default();
     let mut rows = Vec::new();
     let mut concordia_recovered = 0usize;
     let mut concordia_total = 0usize;
@@ -214,6 +219,7 @@ fn main() {
                 }
                 Err(failure) => {
                     println!("{:<10} {:<20} FAILED: {}", name, kind.name(), failure);
+                    gate.check(false, format!("{name} {}: {failure}", kind.name()));
                 }
             }
         }
@@ -228,6 +234,10 @@ fn main() {
         ),
         Ok(_) => println!("\nWARNING: the cores=0 config unexpectedly produced a report"),
     }
+    gate.check(
+        contained,
+        "the cores=0 config produced a report instead of a contained panic",
+    );
 
     println!(
         "\nConcordia recovered in {concordia_recovered}/{concordia_total} fault classes \
@@ -246,4 +256,13 @@ fn main() {
             "concordia_fault_classes": concordia_total,
         }),
     );
+
+    gate.check(
+        concordia_recovered == CLASSES.len(),
+        format!(
+            "Concordia recovered in only {concordia_recovered}/{} fault classes",
+            CLASSES.len()
+        ),
+    );
+    gate.finish("chaos soak");
 }

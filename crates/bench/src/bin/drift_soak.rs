@@ -36,8 +36,11 @@
 //! `--trace` turns the ring-buffer recorder on for both runs. The rows are
 //! metric-derived only, so the JSON stays byte-identical with tracing on
 //! or off — CI runs the soak both ways and compares.
+//!
+//! The soak exits 1 unless the supervised run heals and the frozen one
+//! stays degraded.
 
-use concordia_bench::{banner, bool_flag, f64_flag, u64_flag, write_json};
+use concordia_bench::{banner, bool_flag, f64_flag, u64_flag, write_json, Gate};
 use concordia_core::{run_experiment, Colocation, ExperimentReport, SimConfig};
 use concordia_platform::faults::{FaultKind, FaultPlan, FaultSpec};
 use concordia_platform::trace::TraceConfig;
@@ -226,4 +229,15 @@ fn main() {
             "frozen_degraded": frozen_degraded,
         }),
     );
+
+    let mut gate = Gate::default();
+    gate.check(
+        supervised_healed,
+        "the supervised run did not heal (no readmission, or post-fault reliability below pre-fault)",
+    );
+    gate.check(
+        frozen_degraded,
+        "the frozen model was not degraded while the drift lasted",
+    );
+    gate.finish("drift soak");
 }

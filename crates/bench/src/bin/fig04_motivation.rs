@@ -9,8 +9,7 @@
 //!   pushes the 99.99 % slot-processing latency past the deadline, while
 //!   the isolated vRAN meets it.
 
-use concordia_bench::{banner, pct, quantile_or_nan, write_json, RunLength};
-use concordia_core::experiments::find_min_cores;
+use concordia_bench::{banner, min_cores, pct, quantile_or_nan, write_json, RunLength};
 use concordia_core::{run_experiment, Colocation, SchedulerChoice, SimConfig};
 use concordia_platform::workloads::WorkloadKind;
 use concordia_ran::{CellConfig, Nanos};
@@ -78,18 +77,15 @@ fn main() {
         t.duration = dur;
         t.profiling_slots = slots;
         t.seed = seed;
-        let (min_cores, _) =
-            find_min_cores(&t, 1, 16, 0.9999).expect("a feasible pool size exists");
-        // Measure utilization at the minimum pool.
-        let report = run_experiment(SimConfig {
-            cores: min_cores,
-            ..t.clone()
-        });
+        // Utilization is measured at the minimum pool.
+        let Ok((cores, report)) = min_cores(&t, 1..=16, 0.9999, 1) else {
+            panic!("{name}: no pool of up to 16 cores meets 99.99 %");
+        };
         let util = report.metrics.pool_utilization;
-        println!("{name:<20} {min_cores:>10} {:>14}", pct(util));
+        println!("{name:<20} {cores:>10} {:>14}", pct(util));
         fig4a.push(Fig4aRow {
             config: name,
-            min_cores,
+            min_cores: cores,
             avg_cpu_util_pct: util * 100.0,
         });
     }

@@ -7,8 +7,7 @@
 //! trading vRAN reliability margin against sharing.
 
 use concordia_bench::{banner, pct, quantile_or_nan, write_json, RunLength};
-use concordia_core::experiments::deadline_sweep;
-use concordia_core::{Colocation, SimConfig};
+use concordia_core::{run_experiment, Colocation, SimConfig};
 use concordia_platform::workloads::WorkloadKind;
 use concordia_ran::Nanos;
 use serde::Serialize;
@@ -36,17 +35,17 @@ fn main() {
     template.colocation = Colocation::Single(WorkloadKind::Redis);
     template.seed = seed;
 
-    let deadlines: Vec<Nanos> = [1600u64, 1700, 1800, 1900, 2000]
-        .iter()
-        .map(|&us| Nanos::from_micros(us))
-        .collect();
-
     println!(
         "\n{:>12} {:>14} {:>12} {:>12}",
         "deadline(us)", "p99.999(us)", "reclaimed", "reliability"
     );
     let mut rows = Vec::new();
-    for (d, r) in deadline_sweep(&template, &deadlines) {
+    for us in [1600u64, 1700, 1800, 1900, 2000] {
+        let d = Nanos::from_micros(us);
+        let r = run_experiment(SimConfig {
+            deadline_override: Some(d),
+            ..template.clone()
+        });
         println!(
             "{:>12.0} {:>14.0} {:>12} {:>12.6}",
             d.as_micros_f64(),

@@ -16,14 +16,13 @@
 //! * **fault soak** — the safe order still loses no work when core-loss
 //!   and core-stall fault windows overlap the transitions.
 //!
-//! `--check` exits non-zero when any property fails (CI gate). Timing
-//! figures (steps/sec, wall time) go to `BENCH_reconfig.json` in the
-//! working directory, *separate* from the deterministic soak JSON.
+//! The soak JSON also counts the offline phases its runs built (profiles
+//! and Algorithm 1 passes). The soak exits 1 when any property fails.
 //!
 //! Example:
-//! `cargo run -p concordia-bench --release --bin reconfig_soak -- --quick --check`
+//! `cargo run -p concordia-bench --release --bin reconfig_soak -- --quick`
 
-use concordia_bench::{banner, bool_flag, jobs_from_args, write_json, RunLength};
+use concordia_bench::{banner, jobs_from_args, write_json, Gate, RunLength};
 use concordia_core::runner::{BatchEval, ParallelEval};
 use concordia_core::{
     search_safe_order, ExperimentReport, ReconfigPlan, ReconfigStep, SearchConfig, SimConfig,
@@ -53,7 +52,6 @@ fn main() {
     let len = RunLength::from_args();
     let seed = concordia_bench::seed_from_args();
     let jobs = jobs_from_args();
-    let check = bool_flag("--check");
     banner(
         "Reconfig soak (live plan vs a running pool, rollback + safe-order search)",
         "a naive step order is rolled back with zero task loss; the searcher \
@@ -99,8 +97,7 @@ fn main() {
         plan.steps.iter().map(|s| s.name()).collect::<Vec<_>>()
     );
 
-    let started = std::time::Instant::now();
-    let mut failures: Vec<String> = Vec::new();
+    let mut gate = Gate::default();
     // One evaluator for every run below: they all share the base's
     // offline inputs, so Algorithm 1 runs once for the whole soak.
     let mut eval = ParallelEval::new(jobs);
@@ -125,15 +122,18 @@ fn main() {
             println!("  {}: {v}", s.step);
         }
     }
-    if naive_rc.rollbacks == 0 {
-        failures.push("naive order was never rolled back (scenario too easy)".into());
-    }
-    if naive_rc.feasible {
-        failures.push("naive order committed every step (scenario too easy)".into());
-    }
-    if !naive_conserved {
-        failures.push("naive order lost work (conservation violated)".into());
-    }
+    gate.check(
+        naive_rc.rollbacks > 0,
+        "naive order was never rolled back (scenario too easy)",
+    );
+    gate.check(
+        !naive_rc.feasible,
+        "naive order committed every step (scenario too easy)",
+    );
+    gate.check(
+        naive_conserved,
+        "naive order lost work (conservation violated)",
+    );
 
     // ---- 2. Safe-order search over the same steps. -------------------
     let search = search_safe_order(&base, &plan, SearchConfig::default(), &mut eval);
@@ -161,16 +161,18 @@ fn main() {
                 rc.final_cores,
                 if conserved(&safe_report) { "yes" } else { "NO" }
             );
-            if !rc.feasible {
-                failures.push("searched order did not commit every step on re-run".into());
-            }
-            if !conserved(&safe_report) {
-                failures.push("safe order lost work (conservation violated)".into());
-            }
+            gate.check(
+                rc.feasible,
+                "searched order did not commit every step on re-run",
+            );
+            gate.check(
+                conserved(&safe_report),
+                "safe order lost work (conservation violated)",
+            );
             Some(rc)
         }
         None => {
-            failures.push("searcher found no feasible order".into());
+            gate.check(false, "searcher found no feasible order");
             None
         }
     };
@@ -194,22 +196,13 @@ fn main() {
         fault_rc.rollbacks,
         if fault_conserved { "yes" } else { "NO" }
     );
-    if !fault_conserved {
-        failures.push("fault soak lost work (conservation violated)".into());
-    }
-
-    let wall = started.elapsed().as_secs_f64();
-    let total_rollbacks =
-        naive_rc.rollbacks + safe_rc.as_ref().map_or(0, |rc| rc.rollbacks) + fault_rc.rollbacks;
-    let steps_attempted: u64 = [Some(&naive_rc), safe_rc.as_ref(), Some(&fault_rc)]
-        .into_iter()
-        .flatten()
-        .flat_map(|rc| rc.steps.iter())
-        .map(|s| s.attempts as u64)
-        .sum();
+    gate.check(
+        fault_conserved,
+        "fault soak lost work (conservation violated)",
+    );
 
     // Deterministic soak JSON: a pure function of (seed, scenario) — CI
-    // byte-compares a --jobs 1 and a --jobs 8 run. No timing here.
+    // byte-compares a --jobs 1 and a --jobs 8 run.
     write_json(
         "reconfig_soak",
         &serde_json::json!({
@@ -224,37 +217,9 @@ fn main() {
             "safe": safe_rc,
             "fault_order": fault_order,
             "fault_soak": fault_rc,
-            "failures": failures,
+            "failures": gate.failures(),
+            "offline": eval.offline_phases(),
         }),
     );
-
-    // Timing JSON at the repo root (the perf-trajectory artifact): wall
-    // time is machine-dependent, so it stays out of the soak JSON above.
-    let bench = serde_json::json!({
-        "bench": "reconfig",
-        "wall_s": wall,
-        "steps_attempted": steps_attempted,
-        "steps_per_sec": steps_attempted as f64 / wall.max(1e-9),
-        "rollbacks": total_rollbacks,
-        "search_evaluations": search.evaluations,
-        "offline": eval.offline_phases(),
-    });
-    std::fs::write(
-        "BENCH_reconfig.json",
-        serde_json::to_string_pretty(&bench).expect("serialize bench"),
-    )
-    .expect("write BENCH_reconfig.json");
-    println!("[timing written to BENCH_reconfig.json]");
-
-    if failures.is_empty() {
-        println!("\nreconfig soak PASSED");
-    } else {
-        println!("\nreconfig soak FAILED:");
-        for f in &failures {
-            println!("  - {f}");
-        }
-        if check {
-            std::process::exit(1);
-        }
-    }
+    gate.finish("reconfig soak");
 }

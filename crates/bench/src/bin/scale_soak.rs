@@ -14,10 +14,14 @@
 //! [`concordia_core::runner::run_sweep`], so the soak also covers the
 //! ChaCha seed-derivation path end to end.
 //!
+//! The soak exits 1 if any cell count loses work.
+//!
 //! Example:
 //! `cargo run -p concordia-bench --release --bin scale_soak -- --quick --jobs 2`
 
-use concordia_bench::{banner, cells_from_args, jobs_from_args, u64_flag, write_json, RunLength};
+use concordia_bench::{
+    banner, cells_from_args, jobs_from_args, u64_flag, write_json, Gate, RunLength,
+};
 use concordia_core::runner::run_sweep;
 use concordia_core::SimConfig;
 use concordia_platform::faults::{FaultKind, FaultPlan};
@@ -151,7 +155,12 @@ fn main() {
         }),
     );
 
-    if !all_conserved {
-        std::process::exit(1);
+    let mut gate = Gate::default();
+    for row in &rows {
+        gate.check(
+            row.conserved,
+            format!("C={}: a cell lost work under core loss", row.cells),
+        );
     }
+    gate.finish("scale soak");
 }

@@ -3,32 +3,23 @@
 //! Runs every library scenario (urban macro bursts, stadium flash crowd,
 //! sliced deadlines, mMTC background, trace replay) on a shared pool at
 //! ×10–×100 the tier-1 test volume and reports, per scenario: SLA miss
-//! rate, reliability, demand completed, and simulation throughput
-//! (cell-slots/sec). The trace-replay arm runs on the EPYC platform knob
-//! so the Pramanik compute scale is soaked too.
+//! rate, reliability and demand completed. The trace-replay arm runs on
+//! the EPYC platform knob so the Pramanik compute scale is soaked too.
 //!
-//! Two outputs:
-//!
-//! - `scenario_soak.json` (under `bench-results/` or
-//!   `CONCORDIA_RESULTS_DIR`): the *deterministic* per-scenario results —
-//!   report fingerprints, reliability, violations. Bytes are independent
-//!   of `--jobs` (the runner merges in input order), so CI diffs the file
-//!   across worker counts.
-//! - `BENCH_scenarios.json` in the working directory: the same rows plus
-//!   wall-clock throughput. Machine-dependent, committed at the repo
-//!   root as the reference measurement.
-//!
-//! `--check` exits non-zero if any cell stranded work.
+//! `scenario_soak.json` (under `bench-results/` or
+//! `CONCORDIA_RESULTS_DIR`) holds the per-scenario results — report
+//! fingerprints, reliability, violations. Its bytes are independent of
+//! `--jobs` (the runner merges in input order), so CI diffs the file
+//! across worker counts. The soak exits 1 if any cell stranded work.
 //!
 //! Example:
-//! `cargo run -p concordia-bench --release --bin scenario_soak -- --quick --check`
+//! `cargo run -p concordia-bench --release --bin scenario_soak -- --quick`
 
-use concordia_bench::{banner, bool_flag, jobs_from_args, write_json, RunLength};
+use concordia_bench::{banner, jobs_from_args, write_json, Gate, RunLength};
 use concordia_core::runner::run_parallel;
 use concordia_core::{ScenarioSpec, SimConfig};
 use concordia_ran::Nanos;
 use serde::Serialize;
-use std::time::Instant;
 
 #[derive(Serialize)]
 struct Row {
@@ -41,14 +32,6 @@ struct Row {
     reliability: f64,
     sla_miss_rate: f64,
     fingerprint: String,
-}
-
-#[derive(Serialize)]
-struct TimingRow {
-    scenario: String,
-    cell_slots: u64,
-    run_secs: f64,
-    slots_per_sec: f64,
 }
 
 /// The soak specs: each library scenario with its envelope stretched to
@@ -85,7 +68,6 @@ fn main() {
     let len = RunLength::from_args();
     let seed = concordia_bench::seed_from_args();
     let jobs = jobs_from_args();
-    let check = bool_flag("--check");
     banner(
         "Scenario soak (measurement-driven workload library at volume)",
         "every library scenario holds its SLA on the sized pool, and its \
@@ -121,8 +103,10 @@ fn main() {
     );
 
     // Deterministic sweep (parallel; merge order is input order).
-    let reports = run_parallel(configs.clone(), jobs);
+    let reports = run_parallel(configs, jobs);
 
+    // Conservation gate: no scenario strands a cell's work.
+    let mut gate = Gate::default();
     let mut rows: Vec<Row> = Vec::new();
     println!(
         "\n{:>20} {:>16} {:>9} {:>11} {:>12}",
@@ -153,34 +137,17 @@ fn main() {
             },
             fingerprint: r.fingerprint(),
         });
-    }
-
-    // Timing: one timed serial run per scenario (wall-clock only — never
-    // part of the deterministic output).
-    let slot_ns = base.cell.slot_duration().as_nanos();
-    let cell_slots = base.duration.as_nanos() / slot_ns * cells as u64;
-    let mut timing: Vec<TimingRow> = Vec::new();
-    for (spec, cfg) in library.iter().zip(&configs) {
-        let t0 = Instant::now();
-        let report = concordia_core::run_experiment(cfg.clone());
-        let run_secs = t0.elapsed().as_secs_f64();
-        assert!(report.metrics.dags > 0, "timed run must complete DAGs");
-        timing.push(TimingRow {
-            scenario: spec.name().to_string(),
-            cell_slots,
-            run_secs,
-            slots_per_sec: cell_slots as f64 / run_secs,
-        });
-    }
-    println!(
-        "\n{:>20} {:>12} {:>12}",
-        "scenario", "cell-slots", "slots/sec"
-    );
-    for t in &timing {
-        println!(
-            "{:>20} {:>12} {:>12.0}",
-            t.scenario, t.cell_slots, t.slots_per_sec
-        );
+        for (c, ledger) in m.per_cell.iter().enumerate() {
+            gate.check(
+                ledger.injected > 0 && ledger.completed == ledger.injected,
+                format!(
+                    "{} cell {c} completed {} of {} DAGs",
+                    spec.name(),
+                    ledger.completed,
+                    ledger.injected
+                ),
+            );
+        }
     }
 
     write_json(
@@ -195,44 +162,5 @@ fn main() {
         }),
     );
 
-    std::fs::write(
-        "BENCH_scenarios.json",
-        serde_json::to_string_pretty(&serde_json::json!({
-            "bench": "scenario_soak",
-            "mode": format!("{len:?}").to_lowercase(),
-            "seed": seed,
-            "simulated_secs": secs,
-            "cells": cells,
-            "cores": cores,
-            "rows": rows,
-            "timing": timing,
-        }))
-        .expect("serialize timing")
-            + "\n",
-    )
-    .expect("write BENCH_scenarios.json");
-    println!("[rows + timing written to BENCH_scenarios.json]");
-
-    if check {
-        let mut ok = true;
-        // Conservation: no scenario strands a cell's work.
-        for (spec, r) in library.iter().zip(&reports) {
-            for (c, ledger) in r.metrics.per_cell.iter().enumerate() {
-                if ledger.injected == 0 || ledger.completed != ledger.injected {
-                    eprintln!(
-                        "CHECK FAILED: {} cell {c} completed {} of {} DAGs",
-                        spec.name(),
-                        ledger.completed,
-                        ledger.injected
-                    );
-                    ok = false;
-                }
-            }
-        }
-        if ok {
-            println!("\ncheck passed: no stranded work");
-        } else {
-            std::process::exit(1);
-        }
-    }
+    gate.finish("scenario soak");
 }

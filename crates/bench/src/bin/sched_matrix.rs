@@ -1,5 +1,5 @@
 //! Scheduler matrix — minimum pool cores × pool architecture × pooled
-//! cells, plus per-architecture simulation throughput.
+//! cells.
 //!
 //! PR 9 made the worker pool a pluggable [`PoolArchitecture`]: the
 //! paper's centralized EDF queue against centralized FCFS, per-cell
@@ -11,32 +11,24 @@
 //! smallest — partitioned disciplines strand slack behind their affinity
 //! walls, so their minimum grows with C.
 //!
-//! Two outputs:
+//! `sched_matrix.json` (under `bench-results/` or
+//! `CONCORDIA_RESULTS_DIR`) holds the min-cores matrix. Its bytes are
+//! independent of `--jobs` (the runner merges in input order), so CI
+//! diffs the file across worker counts.
 //!
-//! - `sched_matrix.json` (under `bench-results/` or
-//!   `CONCORDIA_RESULTS_DIR`): the *deterministic* min-cores matrix.
-//!   Bytes are independent of `--jobs` (the runner merges in input
-//!   order), so CI diffs the file across worker counts.
-//! - `BENCH_sched.json` in the working directory: the matrix again plus
-//!   the *timing* figures — wall-clock and simulated cell-slots/sec per
-//!   architecture. Machine-dependent, committed at the repo root as the
-//!   reference measurement.
-//!
-//! `--check` exits non-zero unless centralized EDF needs no more cores
-//! than per-cell dFCFS at every C >= 4 (the pooling argument, stated as
-//! a gate). `--pool NAME` restricts the sweep to one architecture
-//! (the check is skipped unless both edf and dfcfs are swept).
+//! The bench exits 1 unless centralized EDF needs no more cores than
+//! per-cell dFCFS at every C >= 4 (the pooling argument, stated as a
+//! gate). `--pool NAME` restricts the sweep to one architecture (the
+//! gate is skipped unless both edf and dfcfs are swept).
 //!
 //! Example:
-//! `cargo run -p concordia-bench --release --bin sched_matrix -- --quick --check`
+//! `cargo run -p concordia-bench --release --bin sched_matrix -- --quick`
 
-use concordia_bench::{banner, bool_flag, f64_flag, jobs_from_args, write_json, RunLength};
-use concordia_core::runner::run_parallel;
-use concordia_core::{SimConfig, Simulation};
+use concordia_bench::{banner, f64_flag, jobs_from_args, min_cores, write_json, Gate, RunLength};
+use concordia_core::SimConfig;
 use concordia_platform::arch::PoolArchChoice;
 use concordia_ran::Nanos;
 use serde::Serialize;
-use std::time::Instant;
 
 #[derive(Serialize)]
 struct Row {
@@ -50,43 +42,10 @@ struct Row {
     met_target: bool,
 }
 
-#[derive(Serialize)]
-struct TimingRow {
-    arch: &'static str,
-    cells: u32,
-    cores: u32,
-    sim_secs: f64,
-    cell_slots: u64,
-    run_secs: f64,
-    slots_per_sec: f64,
-}
-
-/// Minimum cores meeting `target` reliability, by running every candidate
-/// pool size in parallel and taking the smallest that passes (same answer
-/// as a linear scan, a fraction of the wall-clock). Falls back to the
-/// largest candidate when none passes.
-fn min_cores(template: &SimConfig, max_cores: u32, target: f64, jobs: usize) -> (u32, f64, bool) {
-    let configs: Vec<SimConfig> = (1..=max_cores)
-        .map(|cores| SimConfig {
-            cores,
-            ..template.clone()
-        })
-        .collect();
-    let reports = run_parallel(configs, jobs);
-    for r in &reports {
-        if r.metrics.reliability >= target {
-            return (r.cores, r.metrics.reliability, true);
-        }
-    }
-    let last = reports.last().expect("at least one candidate");
-    (last.cores, last.metrics.reliability, false)
-}
-
 fn main() {
     let len = RunLength::from_args();
     let seed = concordia_bench::seed_from_args();
     let jobs = jobs_from_args();
-    let check = bool_flag("--check");
     let load = f64_flag("--load", 1.0).clamp(0.0, 1.0);
     let arches: Vec<PoolArchChoice> = match std::env::args()
         .skip_while(|a| a != "--pool")
@@ -135,7 +94,6 @@ fn main() {
     );
 
     let mut rows: Vec<Row> = Vec::new();
-    let mut timing: Vec<TimingRow> = Vec::new();
     for &arch in &arches {
         // This architecture's single-cell slice bounds the multi-cell
         // search: C isolated slices could always mimic a partition, so no
@@ -144,13 +102,17 @@ fn main() {
         let mut single = base.clone();
         single.pool = arch;
         single.n_cells = 1;
-        let (per_cell, _, _) = min_cores(&single, 6, target, jobs);
+        let (Ok((per_cell, _)) | Err((per_cell, _))) = min_cores(&single, 1..=6, target, jobs);
         for &cells in cell_counts {
             let mut shared = base.clone();
             shared.pool = arch;
             shared.n_cells = cells;
             let bound = per_cell * cells + 2;
-            let (cores, rel, met) = min_cores(&shared, bound, target, jobs);
+            let (met, (cores, report)) = match min_cores(&shared, 1..=bound, target, jobs) {
+                Ok(found) => (true, found),
+                Err(largest) => (false, largest),
+            };
+            let rel = report.metrics.reliability;
             println!(
                 "{:>9} {:>6} {:>10} {:>12.5} {:>7}",
                 arch.name(),
@@ -167,42 +129,6 @@ fn main() {
                 met_target: met,
             });
         }
-
-        // Throughput: one timed run at the largest C on that C's minimum
-        // pool. Wall-clock only — never part of the deterministic output.
-        let row = rows.last().expect("at least one row per arch");
-        let (cells, cores) = (row.cells, row.min_cores);
-        let mut timed = base.clone();
-        timed.pool = arch;
-        timed.n_cells = cells;
-        timed.cores = cores;
-        let slot_ns = timed.cell.slot_duration().as_nanos();
-        let cell_slots = timed.duration.as_nanos() / slot_ns * cells as u64;
-        let sim = Simulation::new(timed);
-        let t0 = Instant::now();
-        let report = sim.run();
-        let run_secs = t0.elapsed().as_secs_f64();
-        assert!(report.metrics.dags > 0, "timed run must complete DAGs");
-        timing.push(TimingRow {
-            arch: arch.name(),
-            cells,
-            cores,
-            sim_secs: secs as f64,
-            cell_slots,
-            run_secs,
-            slots_per_sec: cell_slots as f64 / run_secs,
-        });
-    }
-
-    println!(
-        "\n{:>9} {:>6} {:>6} {:>12}",
-        "arch", "cells", "cores", "slots/sec"
-    );
-    for t in &timing {
-        println!(
-            "{:>9} {:>6} {:>6} {:>12.0}",
-            t.arch, t.cells, t.cores, t.slots_per_sec
-        );
     }
 
     write_json(
@@ -217,48 +143,27 @@ fn main() {
         }),
     );
 
-    std::fs::write(
-        "BENCH_sched.json",
-        serde_json::to_string_pretty(&serde_json::json!({
-            "bench": "sched_matrix",
-            "mode": format!("{len:?}").to_lowercase(),
-            "seed": seed,
-            "reliability_target": target,
-            "rows": rows,
-            "timing": timing,
-        }))
-        .expect("serialize timing")
-            + "\n",
-    )
-    .expect("write BENCH_sched.json");
-    println!("[matrix + timing written to BENCH_sched.json]");
-
-    if check {
-        let min_for = |arch: &str, cells: u32| {
-            rows.iter()
-                .find(|r| r.arch == arch && r.cells == cells)
-                .map(|r| r.min_cores)
-        };
-        let mut compared = false;
-        let mut ok = true;
-        for &cells in cell_counts.iter().filter(|&&c| c >= 4) {
-            if let (Some(edf), Some(dfcfs)) = (min_for("edf", cells), min_for("dfcfs", cells)) {
-                compared = true;
-                if edf > dfcfs {
-                    eprintln!(
-                        "CHECK FAILED: C={cells} edf needs {edf} cores vs dfcfs {dfcfs} \
-                         (centralized EDF must never size larger)"
-                    );
-                    ok = false;
-                }
-            }
-        }
-        if !compared {
-            println!("\ncheck skipped: needs both edf and dfcfs at some C >= 4 (drop --pool)");
-        } else if ok {
-            println!("\ncheck passed: edf <= dfcfs min cores at every C >= 4");
-        } else {
-            std::process::exit(1);
+    let min_for = |arch: &str, cells: u32| {
+        rows.iter()
+            .find(|r| r.arch == arch && r.cells == cells)
+            .map(|r| r.min_cores)
+    };
+    let mut gate = Gate::default();
+    let mut compared = false;
+    for &cells in cell_counts.iter().filter(|&&c| c >= 4) {
+        if let (Some(edf), Some(dfcfs)) = (min_for("edf", cells), min_for("dfcfs", cells)) {
+            compared = true;
+            gate.check(
+                edf <= dfcfs,
+                format!(
+                    "C={cells} edf needs {edf} cores vs dfcfs {dfcfs} \
+                     (centralized EDF must never size larger)"
+                ),
+            );
         }
     }
+    if !compared {
+        println!("\ngate skipped: needs both edf and dfcfs at some C >= 4 (drop --pool)");
+    }
+    gate.finish("scheduler matrix");
 }

@@ -24,15 +24,14 @@
 //! and one negative control: the same search against a generously
 //! provisioned 20 MHz deployment finds nothing.
 //!
-//! `--check` exits non-zero when any property fails (CI gate). Timing
-//! figures and the offline phases the evaluators ran go to
-//! `BENCH_search.json` in the working directory, separate from the
-//! deterministic soak JSON.
+//! The soak JSON also counts the offline phases the evaluators ran
+//! (profiles and Algorithm 1 passes), which pins the sharing of feature
+//! selections. The soak exits 1 when any property fails.
 //!
 //! Example:
-//! `cargo run -p concordia-bench --release --bin search_soak -- --quick --check`
+//! `cargo run -p concordia-bench --release --bin search_soak -- --quick`
 
-use concordia_bench::{banner, bool_flag, jobs_from_args, seed_from_args, write_json, RunLength};
+use concordia_bench::{banner, jobs_from_args, seed_from_args, write_json, Gate, RunLength};
 use concordia_core::runner::ParallelEval;
 use concordia_core::SimConfig;
 use concordia_platform::faults::{FaultKind, FaultPlan, FaultSpec};
@@ -111,7 +110,6 @@ fn main() {
     let len = RunLength::from_args();
     let seed = seed_from_args();
     let jobs = jobs_from_args();
-    let check = bool_flag("--check");
     banner(
         "Adversarial search soak (find -> shrink -> replay)",
         "a planted storm+core-loss schedule breaking the SLA is found, shrunk \
@@ -142,8 +140,7 @@ fn main() {
     );
     println!("  scenario: {}", planted.one_liner());
 
-    let started = std::time::Instant::now();
-    let mut failures: Vec<String> = Vec::new();
+    let mut gate = Gate::default();
 
     // ---- 1+2. Find and shrink the planted counterexample. ------------
     // The search, its shrinks and the replay share one evaluator, and so
@@ -162,28 +159,30 @@ fn main() {
             for step in &ce.shrink_trace {
                 println!("    round {}: {}", step.round, step.action);
             }
-            if ce.found != planted {
-                failures.push("the counterexample is not the planted scenario".into());
-            }
+            gate.check(
+                ce.found == planted,
+                "the counterexample is not the planted scenario",
+            );
             let planted_windows = planted.faults.specs.len();
-            if ce.minimal.faults.specs.len() >= planted_windows {
-                failures.push(format!(
-                    "shrink kept all {planted_windows} fault windows (wanted strictly fewer)"
-                ));
-            }
-            if ce.minimal.duration >= planted.duration {
-                failures.push(format!(
+            gate.check(
+                ce.minimal.faults.specs.len() < planted_windows,
+                format!("shrink kept all {planted_windows} fault windows (wanted strictly fewer)"),
+            );
+            gate.check(
+                ce.minimal.duration < planted.duration,
+                format!(
                     "shrink kept the full {:.0} ms run (wanted strictly shorter)",
                     planted.duration.as_millis_f64()
-                ));
-            }
-            if ce.minimal_size >= ce.found_size {
-                failures.push("minimal counterexample is not smaller than the found one".into());
-            }
+                ),
+            );
+            gate.check(
+                ce.minimal_size < ce.found_size,
+                "minimal counterexample is not smaller than the found one",
+            );
             Some(ce.clone())
         }
         None => {
-            failures.push("the planted counterexample was not found".into());
+            gate.check(false, "the planted counterexample was not found");
             None
         }
     };
@@ -197,12 +196,14 @@ fn main() {
             "\nreplay: failed {} | reproduced {} | fingerprint {}",
             outcome.verdict.failed, outcome.reproduced, outcome.fingerprint
         );
-        if !outcome.verdict.failed {
-            failures.push("replayed minimal counterexample no longer fails".into());
-        }
-        if !outcome.reproduced {
-            failures.push("replay did not reproduce the recorded fingerprint".into());
-        }
+        gate.check(
+            outcome.verdict.failed,
+            "replayed minimal counterexample no longer fails",
+        );
+        gate.check(
+            outcome.reproduced,
+            "replay did not reproduce the recorded fingerprint",
+        );
         outcome
     });
 
@@ -214,11 +215,10 @@ fn main() {
         "determinism: --jobs 1 vs --jobs {jobs} report bytes {}",
         if jobs_match { "IDENTICAL" } else { "DIFFER" }
     );
-    if !jobs_match {
-        failures.push(format!(
-            "report bytes differ between --jobs 1 and --jobs {jobs}"
-        ));
-    }
+    gate.check(
+        jobs_match,
+        format!("report bytes differ between --jobs 1 and --jobs {jobs}"),
+    );
 
     // ---- 5. Negative control: a slack deployment yields nothing. -----
     let mut clean = SimConfig::paper_20mhz();
@@ -245,15 +245,13 @@ fn main() {
         &mut clean_eval,
     );
     println!("\nnegative control: {}", clean_report.one_liner());
-    if clean_report.found() {
-        failures.push(format!(
+    gate.check(
+        !clean_report.found(),
+        format!(
             "clean config produced a counterexample: {}",
             clean_report.one_liner()
-        ));
-    }
-
-    let wall = started.elapsed().as_secs_f64();
-    let evaluations = report.evaluations + single.evaluations + clean_report.evaluations;
+        ),
+    );
 
     // Deterministic soak JSON: a pure function of the seed and the
     // scenario — CI byte-compares a --jobs 1 and a --jobs 8 run.
@@ -266,37 +264,9 @@ fn main() {
             "replay": replay_outcome,
             "jobs_match": jobs_match,
             "clean": clean_report,
-            "failures": failures,
+            "failures": gate.failures(),
+            "offline": eval.offline_phases() + single_eval.offline_phases() + clean_eval.offline_phases(),
         }),
     );
-
-    // Timing JSON at the repo root (the perf-trajectory artifact): wall
-    // time is machine-dependent, so it stays out of the soak JSON above.
-    let bench = serde_json::json!({
-        "bench": "search",
-        "wall_s": wall,
-        "evaluations": evaluations,
-        "evals_per_sec": evaluations as f64 / wall.max(1e-9),
-        "counterexamples": report.counterexamples.len(),
-        "shrink_rounds": ce.as_ref().map_or(0, |ce| ce.shrink_trace.len()),
-        "offline": eval.offline_phases() + single_eval.offline_phases() + clean_eval.offline_phases(),
-    });
-    std::fs::write(
-        "BENCH_search.json",
-        serde_json::to_string_pretty(&bench).expect("serialize bench"),
-    )
-    .expect("write BENCH_search.json");
-    println!("[timing written to BENCH_search.json]");
-
-    if failures.is_empty() {
-        println!("\nsearch soak PASSED");
-    } else {
-        println!("\nsearch soak FAILED:");
-        for f in &failures {
-            println!("  - {f}");
-        }
-        if check {
-            std::process::exit(1);
-        }
-    }
+    gate.finish("search soak");
 }

@@ -10,8 +10,7 @@
 //! The minimum-core search runs the end-to-end simulator at peak traffic
 //! and takes the smallest pool meeting the 99.99 %+ deadline bar.
 
-use concordia_bench::{banner, write_json, RunLength};
-use concordia_core::experiments::find_min_cores;
+use concordia_bench::{banner, min_cores, write_json, RunLength};
 use concordia_core::{Colocation, SimConfig};
 use concordia_ran::Nanos;
 use serde::Serialize;
@@ -51,9 +50,11 @@ fn main() {
         t.duration = Nanos::from_secs(len.online_secs().min(6));
         t.profiling_slots = len.profiling_slots() / 2;
         t.seed = seed;
-        let (min_cores, _) = find_min_cores(&t, 2, 24, 0.9999).expect("feasible");
+        let Ok((cores, _)) = min_cores(&t, 2..=24, 0.9999, 1) else {
+            panic!("{name}: no pool of up to 24 cores meets 99.99 %");
+        };
         println!(
-            "{name:<10} {:>7} {:>8.0}Mb {:>8.0}Mb {:>8.1}ms {min_cores:>10} {paper_min:>10}",
+            "{name:<10} {:>7} {:>8.0}Mb {:>8.0}Mb {:>8.1}ms {cores:>10} {paper_min:>10}",
             t.n_cells,
             t.cell.peak_dl_mbps,
             t.cell.peak_ul_mbps,
@@ -65,7 +66,7 @@ fn main() {
             peak_dl_mbps: t.cell.peak_dl_mbps,
             peak_ul_mbps: t.cell.peak_ul_mbps,
             deadline_ms: t.cell.deadline.as_millis_f64(),
-            min_cores,
+            min_cores: cores,
             paper_min_cores: paper_min,
         });
     }

@@ -14,12 +14,11 @@
 //! Example:
 //! `cargo run -p concordia-bench --release --bin table2_min_cores -- --quick`
 //!
-//! `--check` exits non-zero unless the shared pool beats static
-//! partitioning for every C >= 4 and the saving grows with C.
-//! `--jobs N` caps the worker threads (output bytes never depend on it).
+//! The bench exits 1 unless the shared pool beats static partitioning
+//! for every C >= 4 and the saving grows with C. `--jobs N` caps the
+//! worker threads (output bytes never depend on it).
 
-use concordia_bench::{banner, bool_flag, f64_flag, jobs_from_args, write_json, RunLength};
-use concordia_core::runner::run_parallel;
+use concordia_bench::{banner, f64_flag, jobs_from_args, min_cores, write_json, Gate, RunLength};
 use concordia_core::SimConfig;
 use concordia_ran::Nanos;
 use serde::Serialize;
@@ -36,31 +35,10 @@ struct Row {
     shared_reliability: f64,
 }
 
-/// Minimum cores meeting `target` reliability for `template`, by running
-/// every candidate pool size in parallel and taking the smallest that
-/// passes. Same answer as a linear scan, a fraction of the wall-clock.
-fn min_cores(template: &SimConfig, max_cores: u32, target: f64, jobs: usize) -> (u32, f64) {
-    let configs: Vec<SimConfig> = (1..=max_cores)
-        .map(|cores| SimConfig {
-            cores,
-            ..template.clone()
-        })
-        .collect();
-    let reports = run_parallel(configs, jobs);
-    for r in &reports {
-        if r.metrics.reliability >= target {
-            return (r.cores, r.metrics.reliability);
-        }
-    }
-    let last = reports.last().expect("at least one candidate");
-    (last.cores, last.metrics.reliability)
-}
-
 fn main() {
     let len = RunLength::from_args();
     let seed = concordia_bench::seed_from_args();
     let jobs = jobs_from_args();
-    let check = bool_flag("--check");
     let load = f64_flag("--load", 1.0).clamp(0.0, 1.0);
     banner(
         "Table 2 scale-out (minimum pool cores vs pooled cells)",
@@ -96,7 +74,7 @@ fn main() {
     // is irrelevant to it.
     let mut single = base.clone();
     single.n_cells = 1;
-    let (per_cell, _) = min_cores(&single, 6, target, jobs);
+    let (Ok((per_cell, _)) | Err((per_cell, _))) = min_cores(&single, 1..=6, target, jobs);
 
     let mut rows = Vec::new();
     for cells in CELL_COUNTS {
@@ -105,13 +83,14 @@ fn main() {
         shared.n_cells = cells;
         // The shared pool can never need more than the static partition
         // (it could always mimic it), so the partition bounds the search.
-        let (shared_cores, rel) = min_cores(&shared, static_cores.max(per_cell), target, jobs);
+        let (Ok((shared_cores, report)) | Err((shared_cores, report))) =
+            min_cores(&shared, 1..=static_cores.max(per_cell), target, jobs);
         let row = Row {
             cells,
             static_cores,
             shared_cores,
             saved_cores: static_cores as i64 - shared_cores as i64,
-            shared_reliability: rel,
+            shared_reliability: report.metrics.reliability,
         };
         println!(
             "{:>6} {:>14} {:>14} {:>9} {:>14.5}",
@@ -132,31 +111,24 @@ fn main() {
         }),
     );
 
-    if check {
-        let mut ok = true;
-        let mut last_gap = i64::MIN;
-        for row in &rows {
-            if row.cells >= 4 {
-                if row.shared_cores >= row.static_cores {
-                    eprintln!(
-                        "CHECK FAILED: C={} shared {} >= static {}",
-                        row.cells, row.shared_cores, row.static_cores
-                    );
-                    ok = false;
-                }
-                if row.saved_cores <= last_gap {
-                    eprintln!(
-                        "CHECK FAILED: C={} saving {} did not grow (previous {})",
-                        row.cells, row.saved_cores, last_gap
-                    );
-                    ok = false;
-                }
-                last_gap = row.saved_cores;
-            }
-        }
-        if !ok {
-            std::process::exit(1);
-        }
-        println!("\ncheck passed: shared < static for C >= 4 and the saving grows with C");
+    let mut gate = Gate::default();
+    let mut last_gap = i64::MIN;
+    for row in rows.iter().filter(|r| r.cells >= 4) {
+        gate.check(
+            row.shared_cores < row.static_cores,
+            format!(
+                "C={} shared {} >= static {}",
+                row.cells, row.shared_cores, row.static_cores
+            ),
+        );
+        gate.check(
+            row.saved_cores > last_gap,
+            format!(
+                "C={} saving {} did not grow (previous {})",
+                row.cells, row.saved_cores, last_gap
+            ),
+        );
+        last_gap = row.saved_cores;
     }
+    gate.finish("table 2 scale-out");
 }

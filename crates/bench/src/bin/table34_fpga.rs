@@ -8,9 +8,8 @@
 //!   its non-offloaded tasks (the worker blocks waiting for the FPGA), and
 //!   ~1.9× for the downlink — idle periods Concordia could reclaim.
 
-use concordia_bench::{banner, pct, write_json, RunLength};
-use concordia_core::experiments::find_min_cores;
-use concordia_core::{run_experiment, Colocation, SimConfig};
+use concordia_bench::{banner, min_cores, pct, write_json, RunLength};
+use concordia_core::{Colocation, SimConfig};
 use concordia_ran::accel::FpgaModel;
 use concordia_ran::cost::CostModel;
 use concordia_ran::dag::{build_downlink_dag, build_uplink_dag, SlotWorkload, UeAlloc};
@@ -126,18 +125,16 @@ fn main() {
         t.duration = Nanos::from_secs(len.online_secs().min(5));
         t.profiling_slots = len.profiling_slots() / 2;
         t.seed = seed;
-        let (min_cores, _) = find_min_cores(&t, 1, 12, 0.9999).expect("feasible");
-        let r = run_experiment(SimConfig {
-            cores: min_cores,
-            ..t
-        });
+        let Ok((cores, r)) = min_cores(&t, 1..=12, 0.9999, 1) else {
+            panic!("{cells} cells: no pool of up to 12 cores meets 99.99 %");
+        };
         println!(
-            "{cells:<8} {min_cores:>10} {:>14}",
+            "{cells:<8} {cores:>10} {:>14}",
             pct(r.metrics.pool_utilization)
         );
         t3.push(Table3Row {
             cells,
-            min_cores,
+            min_cores: cores,
             avg_cpu_util_pct: r.metrics.pool_utilization * 100.0,
         });
     }

@@ -15,22 +15,21 @@
 //! nondecreasing within every track — the structural properties Perfetto
 //! and `chrome://tracing` rely on.
 //!
-//! `--check` exits non-zero when identity or export validity fail (CI
-//! gate). Wall-clock overhead stays a warning there: debug/CI machines
-//! are too noisy for a hard timing gate. `--enforce-overhead` upgrades
-//! the 5 % bar to a failure for release-mode local runs.
+//! The bench exits 1 when identity or export validity fail (CI gate).
+//! Wall-clock overhead stays a warning there: debug/CI machines are too
+//! noisy for a hard timing gate. `--enforce-overhead` upgrades the 5 %
+//! bar to a failure for release-mode local runs.
 //!
 //! Example:
-//! `cargo run -p concordia-bench --release --bin trace_overhead -- --check`
+//! `cargo run -p concordia-bench --release --bin trace_overhead -- --quick`
 
-use concordia_bench::{banner, bool_flag, write_json, RunLength};
+use concordia_bench::{banner, bool_flag, write_json, Gate, RunLength};
 use concordia_core::{Colocation, ExperimentReport, SimConfig, Simulation};
 use concordia_platform::faults::{FaultKind, FaultPlan};
 use concordia_platform::trace::{export_chrome_trace, TraceConfig};
 use concordia_platform::workloads::WorkloadKind;
 use concordia_sched::SupervisorConfig;
 use serde::{map_get, Value};
-use std::process::ExitCode;
 use std::time::Instant;
 
 /// The workout: faults, supervisor lifecycle, FPGA offloads and a
@@ -120,10 +119,9 @@ fn strip_trace(mut r: ExperimentReport) -> ExperimentReport {
     r
 }
 
-fn main() -> ExitCode {
+fn main() {
     let len = RunLength::from_args();
     let seed = concordia_bench::seed_from_args();
-    let check = bool_flag("--check");
     let enforce_overhead = bool_flag("--enforce-overhead");
     banner(
         "Trace overhead (observability layer determinism + cost)",
@@ -203,10 +201,15 @@ fn main() -> ExitCode {
         }),
     );
 
-    let timing_ok = !enforce_overhead || overhead_pct <= 5.0;
-    if (check || enforce_overhead) && !(identical && problems.is_empty() && timing_ok) {
-        eprintln!("trace_overhead: FAILED");
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+    let mut gate = Gate::default();
+    gate.check(identical, "traced report differs from the untraced one");
+    gate.check(
+        problems.is_empty(),
+        format!("invalid chrome export: {}", problems.join("; ")),
+    );
+    gate.check(
+        !enforce_overhead || overhead_pct <= 5.0,
+        format!("overhead {overhead_pct:+.1}% above the 5% bar"),
+    );
+    gate.finish("trace_overhead");
 }

@@ -16,12 +16,9 @@
 //!   running simulation under per-slot invariant checking, with automatic
 //!   rollback and safe-order search.
 //! * [`report`] — serializable experiment reports.
-//! * [`experiments`] — canned sweeps and searches used by the per-figure
-//!   bench harness (min-cores search, load sweep, deadline sweep,
-//!   colocation grid).
+//! * [`runner`] — the parallel experiment runner and seed sweeps.
 
 pub mod config;
-pub mod experiments;
 pub mod profile;
 pub mod reconfig;
 pub mod report;

@@ -5,6 +5,8 @@
 //!   deployments.
 //! * The parallel runner's sweep reports are a pure function of the seed:
 //!   `--jobs 1` and `--jobs 8` yield the same bytes for random configs.
+//! * City-scale pools (up to 100 cells on 320 cores) complete every
+//!   cell's work.
 //!
 //! The single-cell deployment's bytes are pinned by the C=1 goldens in
 //! `tests/golden.rs`.
@@ -99,6 +101,32 @@ fn every_architecture_conserves_work_under_core_loss() {
                 ledger.injected,
                 "[{}] cell {c} lost work under core loss",
                 arch.name()
+            );
+        }
+    }
+}
+
+/// The city-scale pools: 16 and 100 staggered 100 MHz cells at half load
+/// on about 3.2 cores per cell. Every cell must inject work and complete
+/// all of it.
+#[test]
+fn city_scale_pools_conserve_every_cells_work() {
+    for (cells, cores) in [(16u32, 52u32), (100, 320)] {
+        let mut cfg = SimConfig::paper_100mhz();
+        cfg.n_cells = cells;
+        cfg.cores = cores;
+        cfg.load = 0.5;
+        cfg.duration = Nanos::from_millis(50);
+        cfg.profiling_slots = 200;
+        cfg.seed = 2021;
+        cfg.colocation = Colocation::Isolated;
+        let r = run_experiment(cfg);
+        assert_eq!(r.metrics.per_cell.len(), cells as usize);
+        for (c, ledger) in r.metrics.per_cell.iter().enumerate() {
+            assert!(ledger.injected > 0, "C={cells}: cell {c} injected nothing");
+            assert_eq!(
+                ledger.completed, ledger.injected,
+                "C={cells}: cell {c} lost work"
             );
         }
     }
