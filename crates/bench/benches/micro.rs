@@ -38,7 +38,7 @@ use concordia_predictor::qdt::QuantileDecisionTree;
 use concordia_predictor::tree::TreeConfig;
 use concordia_predictor::WcetPredictor;
 use concordia_ran::cost::CostModel;
-use concordia_ran::dag::build_uplink_dag;
+use concordia_ran::dag::build_dag;
 use concordia_ran::features::{extract, handpicked};
 use concordia_ran::numerology::SlotDirection;
 use concordia_ran::task::TaskKind;
@@ -164,7 +164,7 @@ fn bench_dag_build(c: &mut Criterion) {
     let mut rng = Rng::new(11);
     let wl = random_workload(&cell, SlotDirection::Uplink, &mut rng);
     c.bench_function("dag_build_uplink", |b| {
-        b.iter(|| black_box(build_uplink_dag(&cell, 0, 0, Nanos::ZERO, black_box(&wl))))
+        b.iter(|| black_box(build_dag(&cell, 0, 0, Nanos::ZERO, black_box(&wl))))
     });
 }
 

@@ -78,9 +78,11 @@ fn main() {
         t.profiling_slots = slots;
         t.seed = seed;
         // Utilization is measured at the minimum pool.
-        let Ok((cores, report)) = min_cores(&t, 1..=16, 0.9999, 1) else {
-            panic!("{name}: no pool of up to 16 cores meets 99.99 %");
-        };
+        let (cores, report) = min_cores(&t, 1..=16, 0.9999, 1);
+        assert!(
+            report.metrics.reliability >= 0.9999,
+            "{name}: no pool of up to 16 cores meets 99.99 %"
+        );
         let util = report.metrics.pool_utilization;
         println!("{name:<20} {cores:>10} {:>14}", pct(util));
         fig4a.push(Fig4aRow {

@@ -95,8 +95,7 @@ fn main() {
     let runs = slots * 2;
     for _ in 0..runs {
         let wl = random_workload(&cell, SlotDirection::Uplink, &mut rng);
-        let dag =
-            concordia_ran::dag::build_uplink_dag(&cell, 0, 0, concordia_ran::Nanos::ZERO, &wl);
+        let dag = concordia_ran::dag::build_dag(&cell, 0, 0, concordia_ran::Nanos::ZERO, &wl);
         for node in &dag.nodes {
             if node.task.kind != TaskKind::LdpcDecode {
                 continue;

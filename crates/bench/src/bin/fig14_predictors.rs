@@ -65,7 +65,7 @@ fn evaluate(
     let warmup = samples / 5;
     while produced < samples {
         let wl = random_workload(cell, SlotDirection::Uplink, &mut rng);
-        let dag = concordia_ran::dag::build_uplink_dag(cell, 0, 0, concordia_ran::Nanos::ZERO, &wl);
+        let dag = concordia_ran::dag::build_dag(cell, 0, 0, concordia_ran::Nanos::ZERO, &wl);
         for node in &dag.nodes {
             if node.task.kind != TaskKind::LdpcDecode {
                 continue;

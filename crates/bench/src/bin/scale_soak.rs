@@ -82,7 +82,7 @@ fn main() {
         base.load = 0.5;
         base.faults = FaultPlan::chaos(&[FaultKind::CoreOffline, FaultKind::CoreStall], dur);
 
-        let sweep = run_sweep(&base, seed ^ u64::from(cells), repeats, jobs);
+        let sweep = run_sweep(&base, seed ^ u64::from(cells), repeats, jobs, None);
 
         // Merge the sweep's per-cell ledgers; conservation must hold in
         // every run for every cell.

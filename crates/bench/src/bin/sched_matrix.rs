@@ -102,17 +102,15 @@ fn main() {
         let mut single = base.clone();
         single.pool = arch;
         single.n_cells = 1;
-        let (Ok((per_cell, _)) | Err((per_cell, _))) = min_cores(&single, 1..=6, target, jobs);
+        let (per_cell, _) = min_cores(&single, 1..=6, target, jobs);
         for &cells in cell_counts {
             let mut shared = base.clone();
             shared.pool = arch;
             shared.n_cells = cells;
             let bound = per_cell * cells + 2;
-            let (met, (cores, report)) = match min_cores(&shared, 1..=bound, target, jobs) {
-                Ok(found) => (true, found),
-                Err(largest) => (false, largest),
-            };
+            let (cores, report) = min_cores(&shared, 1..=bound, target, jobs);
             let rel = report.metrics.reliability;
+            let met = rel >= target;
             println!(
                 "{:>9} {:>6} {:>10} {:>12.5} {:>7}",
                 arch.name(),

@@ -50,9 +50,11 @@ fn main() {
         t.duration = Nanos::from_secs(len.online_secs().min(6));
         t.profiling_slots = len.profiling_slots() / 2;
         t.seed = seed;
-        let Ok((cores, _)) = min_cores(&t, 2..=24, 0.9999, 1) else {
-            panic!("{name}: no pool of up to 24 cores meets 99.99 %");
-        };
+        let (cores, report) = min_cores(&t, 2..=24, 0.9999, 1);
+        assert!(
+            report.metrics.reliability >= 0.9999,
+            "{name}: no pool of up to 24 cores meets 99.99 %"
+        );
         println!(
             "{name:<10} {:>7} {:>8.0}Mb {:>8.0}Mb {:>8.1}ms {cores:>10} {paper_min:>10}",
             t.n_cells,

@@ -74,7 +74,7 @@ fn main() {
     // is irrelevant to it.
     let mut single = base.clone();
     single.n_cells = 1;
-    let (Ok((per_cell, _)) | Err((per_cell, _))) = min_cores(&single, 1..=6, target, jobs);
+    let (per_cell, _) = min_cores(&single, 1..=6, target, jobs);
 
     let mut rows = Vec::new();
     for cells in CELL_COUNTS {
@@ -83,7 +83,7 @@ fn main() {
         shared.n_cells = cells;
         // The shared pool can never need more than the static partition
         // (it could always mimic it), so the partition bounds the search.
-        let (Ok((shared_cores, report)) | Err((shared_cores, report))) =
+        let (shared_cores, report) =
             min_cores(&shared, 1..=static_cores.max(per_cell), target, jobs);
         let row = Row {
             cells,

@@ -12,7 +12,7 @@ use concordia_bench::{banner, min_cores, pct, write_json, RunLength};
 use concordia_core::{Colocation, SimConfig};
 use concordia_ran::accel::FpgaModel;
 use concordia_ran::cost::CostModel;
-use concordia_ran::dag::{build_downlink_dag, build_uplink_dag, SlotWorkload, UeAlloc};
+use concordia_ran::dag::{build_dag, SlotWorkload, UeAlloc};
 use concordia_ran::numerology::SlotDirection;
 use concordia_ran::{CellConfig, Nanos};
 use serde::Serialize;
@@ -72,10 +72,7 @@ fn main() {
     );
     for dir in [SlotDirection::Uplink, SlotDirection::Downlink] {
         let wl = peak_workload(&cell, dir);
-        let dag = match dir {
-            SlotDirection::Uplink => build_uplink_dag(&cell, 0, 0, Nanos::ZERO, &wl),
-            _ => build_downlink_dag(&cell, 0, 0, Nanos::ZERO, &wl),
-        };
+        let dag = build_dag(&cell, 0, 0, Nanos::ZERO, &wl);
         let mut cpu_us = 0.0;
         let mut fpga_us = 0.0;
         for node in &dag.nodes {
@@ -125,9 +122,11 @@ fn main() {
         t.duration = Nanos::from_secs(len.online_secs().min(5));
         t.profiling_slots = len.profiling_slots() / 2;
         t.seed = seed;
-        let Ok((cores, r)) = min_cores(&t, 1..=12, 0.9999, 1) else {
-            panic!("{cells} cells: no pool of up to 12 cores meets 99.99 %");
-        };
+        let (cores, r) = min_cores(&t, 1..=12, 0.9999, 1);
+        assert!(
+            r.metrics.reliability >= 0.9999,
+            "{cells} cells: no pool of up to 12 cores meets 99.99 %"
+        );
         println!(
             "{cells:<8} {cores:>10} {:>14}",
             pct(r.metrics.pool_utilization)

@@ -146,7 +146,8 @@ pub fn write_json<T: Serialize>(name: &str, value: &T) {
 /// reliability, with its report. Candidates run in chunks of `jobs` on
 /// the parallel runner, and the search stops at the first chunk holding
 /// a pass, so the answer is the same as a linear scan's at any `jobs`.
-/// When no candidate passes, the largest one comes back as the error.
+/// When no candidate passes, the largest one comes back, so a caller
+/// that needs a pass compares the report's reliability with `target`.
 ///
 /// This is how the paper's Table 2/3 "minimum # CPU cores" columns are
 /// produced.
@@ -155,7 +156,7 @@ pub fn min_cores(
     cores: RangeInclusive<u32>,
     target: f64,
     jobs: usize,
-) -> Result<(u32, ExperimentReport), (u32, ExperimentReport)> {
+) -> (u32, ExperimentReport) {
     let candidates: Vec<u32> = cores.collect();
     let mut largest = None;
     for chunk in candidates.chunks(jobs.max(1)) {
@@ -168,12 +169,12 @@ pub fn min_cores(
             .collect();
         for (&cores, report) in chunk.iter().zip(run_parallel(configs, jobs)) {
             if report.metrics.reliability >= target {
-                return Ok((cores, report));
+                return (cores, report);
             }
             largest = Some((cores, report));
         }
     }
-    Err(largest.expect("min_cores needs at least one candidate"))
+    largest.expect("min_cores needs at least one candidate")
 }
 
 /// A soak's pass/fail verdict. The soak records each property that fails
@@ -333,8 +334,8 @@ mod tests {
         let (want_cores, want_bytes) = linear_scan(&template, 1..=5, 0.999);
         assert!(want_cores > 1, "the first candidate must fail");
         for jobs in [1, 4] {
-            let (cores, report) = min_cores(&template, 1..=5, 0.999, jobs)
-                .unwrap_or_else(|(c, _)| panic!("jobs {jobs}: nothing passed up to {c}"));
+            let (cores, report) = min_cores(&template, 1..=5, 0.999, jobs);
+            assert!(report.metrics.reliability >= 0.999, "jobs {jobs}");
             assert_eq!(cores, want_cores, "jobs {jobs}");
             assert_eq!(
                 serde_json::to_string(&report).unwrap(),
@@ -351,8 +352,8 @@ mod tests {
         let (want_cores, want_bytes) = linear_scan(&template, 2..=3, 1.5);
         assert_eq!(want_cores, 3);
         for jobs in [1, 2] {
-            let (cores, report) =
-                min_cores(&template, 2..=3, 1.5, jobs).expect_err("nothing can pass");
+            let (cores, report) = min_cores(&template, 2..=3, 1.5, jobs);
+            assert!(report.metrics.reliability < 1.5, "jobs {jobs}");
             assert_eq!(cores, 3, "jobs {jobs}");
             assert_eq!(
                 serde_json::to_string(&report).unwrap(),

@@ -15,7 +15,7 @@
 //!           [--reconfig <plan.json>]
 //! ```
 
-use concordia_core::runner::{run_sweep_with_progress, ParallelEval};
+use concordia_core::runner::{run_sweep, ParallelEval};
 use concordia_core::{Colocation, PredictorChoice, SchedulerChoice, SimConfig, Simulation};
 use concordia_platform::trace::export_chrome_trace;
 use concordia_platform::workloads::WorkloadKind;
@@ -222,7 +222,7 @@ fn run_sweep_cli(
         "sweep: {repeat} runs x {} cells ({} cores), master seed {master}, {jobs} jobs...",
         cfg.n_cells, cfg.cores
     );
-    let sweep = run_sweep_with_progress(
+    let sweep = run_sweep(
         &cfg,
         master,
         repeat,

@@ -23,7 +23,7 @@ use concordia_predictor::qdt::QuantileDecisionTree;
 use concordia_predictor::tree::TreeConfig;
 use concordia_ran::cell::CellConfig;
 use concordia_ran::cost::CostModel;
-use concordia_ran::dag::{build_downlink_dag, build_uplink_dag, SlotWorkload, UeAlloc};
+use concordia_ran::dag::{build_dag, SlotWorkload, UeAlloc};
 use concordia_ran::features::{extract, handpicked};
 use concordia_ran::numerology::SlotDirection;
 use concordia_ran::task::TaskKind;
@@ -108,10 +108,7 @@ pub fn profile(
     for slot in 0..slots {
         for direction in [SlotDirection::Uplink, SlotDirection::Downlink] {
             let wl = random_workload(cell, direction, &mut rng);
-            let dag = match direction {
-                SlotDirection::Uplink => build_uplink_dag(cell, 0, slot as u64, Nanos::ZERO, &wl),
-                _ => build_downlink_dag(cell, 0, slot as u64, Nanos::ZERO, &wl),
-            };
+            let dag = build_dag(cell, 0, slot as u64, Nanos::ZERO, &wl);
             let pool_cores = rng.range_u64(1, max_cores.max(1) as u64) as u32;
             for node in &dag.nodes {
                 let mut params = node.task.params;
@@ -523,7 +520,7 @@ mod tests {
         let mut misses = 0u64;
         for _ in 0..300 {
             let wl = random_workload(&cell, SlotDirection::Uplink, &mut rng);
-            let dag = build_uplink_dag(&cell, 0, 0, Nanos::ZERO, &wl);
+            let dag = build_dag(&cell, 0, 0, Nanos::ZERO, &wl);
             for node in &dag.nodes {
                 let mut params = node.task.params;
                 params.pool_cores = 4;

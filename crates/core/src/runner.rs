@@ -56,22 +56,13 @@ impl fmt::Display for ExperimentFailure {
 /// Each experiment is still internally deterministic (seeded), so the
 /// result is identical to running them sequentially. A panicking
 /// experiment produces `Err(ExperimentFailure)` in its slot; the others
-/// are unaffected.
+/// are unaffected. The experiments share one [`OfflineCache`] for the
+/// call.
 pub fn run_parallel_results(
     configs: Vec<SimConfig>,
     workers: usize,
 ) -> Vec<Result<ExperimentReport, ExperimentFailure>> {
-    run_parallel_results_with_progress(configs, workers, None)
-}
-
-/// [`run_parallel_results`] with an optional progress callback. The
-/// experiments share one [`OfflineCache`] for the call.
-pub fn run_parallel_results_with_progress(
-    configs: Vec<SimConfig>,
-    workers: usize,
-    progress: Option<ProgressFn>,
-) -> Vec<Result<ExperimentReport, ExperimentFailure>> {
-    run_cached(configs, workers, progress.as_ref(), &OfflineCache::new())
+    run_cached(configs, workers, None, &OfflineCache::new())
 }
 
 /// The parallel runner, building every simulation through `cache`.
@@ -203,17 +194,6 @@ pub fn run_parallel(configs: Vec<SimConfig>, workers: usize) -> Vec<ExperimentRe
     collect_or_panic(run_parallel_results(configs, workers))
 }
 
-/// [`run_parallel`] with an optional progress callback.
-pub fn run_parallel_with_progress(
-    configs: Vec<SimConfig>,
-    workers: usize,
-    progress: Option<ProgressFn>,
-) -> Vec<ExperimentReport> {
-    collect_or_panic(run_parallel_results_with_progress(
-        configs, workers, progress,
-    ))
-}
-
 fn collect_or_panic(
     results: Vec<Result<ExperimentReport, ExperimentFailure>>,
 ) -> Vec<ExperimentReport> {
@@ -280,7 +260,8 @@ pub fn sweep_configs(base: &SimConfig, master_seed: u64, repeats: usize) -> Vec<
 }
 
 /// Runs an `repeats`-run sweep of `base` across up to `workers` threads
-/// and merges the reports in derivation order.
+/// and merges the reports in derivation order. `progress`, when given, is
+/// called after each run.
 ///
 /// Panics with the aggregated failure list if any run panicked (the same
 /// policy as [`run_parallel`]).
@@ -289,20 +270,14 @@ pub fn run_sweep(
     master_seed: u64,
     repeats: usize,
     workers: usize,
-) -> SweepReport {
-    run_sweep_with_progress(base, master_seed, repeats, workers, None)
-}
-
-/// [`run_sweep`] with an optional progress callback.
-pub fn run_sweep_with_progress(
-    base: &SimConfig,
-    master_seed: u64,
-    repeats: usize,
-    workers: usize,
     progress: Option<ProgressFn>,
 ) -> SweepReport {
-    let runs =
-        run_parallel_with_progress(sweep_configs(base, master_seed, repeats), workers, progress);
+    let runs = collect_or_panic(run_cached(
+        sweep_configs(base, master_seed, repeats),
+        workers,
+        progress.as_ref(),
+        &OfflineCache::new(),
+    ));
     SweepReport {
         master_seed,
         repeats,
@@ -374,9 +349,10 @@ mod tests {
     fn progress_callback_reaches_total() {
         let counter = Arc::new(AtomicUsize::new(0));
         let c2 = Arc::clone(&counter);
-        let configs: Vec<SimConfig> = (0..3).map(|i| tiny(i, 0.5)).collect();
-        let _ = run_parallel_with_progress(
-            configs,
+        let _ = run_sweep(
+            &tiny(0, 0.5),
+            5,
+            3,
             2,
             Some(Box::new(move |done, total| {
                 assert!(done <= total);
@@ -407,7 +383,7 @@ mod tests {
     #[test]
     fn sweep_seeds_come_from_the_chacha_stream() {
         let base = tiny(0, 0.4);
-        let sweep = run_sweep(&base, 77, 3, 2);
+        let sweep = run_sweep(&base, 77, 3, 2, None);
         assert_eq!(sweep.master_seed, 77);
         assert_eq!(sweep.repeats, 3);
         assert_eq!(sweep.runs.len(), 3);
@@ -436,8 +412,8 @@ mod tests {
     #[test]
     fn sweep_bytes_do_not_depend_on_worker_count() {
         let base = tiny(0, 0.5);
-        let one = run_sweep(&base, 9, 4, 1).to_canonical_json();
-        let many = run_sweep(&base, 9, 4, 4).to_canonical_json();
+        let one = run_sweep(&base, 9, 4, 1, None).to_canonical_json();
+        let many = run_sweep(&base, 9, 4, 4, None).to_canonical_json();
         assert_eq!(one, many);
     }
 

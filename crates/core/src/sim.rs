@@ -32,7 +32,7 @@ use concordia_ran::cost::CostModel;
 use concordia_ran::dag::{build_dag_into, DagScratch, SlotWorkload};
 use concordia_ran::features::{extract, FeatureVec};
 use concordia_ran::numerology::SlotDirection;
-use concordia_ran::task::TaskKind;
+use concordia_ran::task::{TaskInstance, TaskKind};
 use concordia_ran::time::Nanos;
 use concordia_sched::baselines::{FlexRanScheduler, ShenangoScheduler, UtilizationScheduler};
 use concordia_sched::concordia::ConcordiaScheduler;
@@ -143,6 +143,45 @@ fn make_scheduler(choice: SchedulerChoice) -> Box<dyn PoolScheduler> {
     }
 }
 
+/// Cell `cell`'s traffic source, on its own stream forked from `root`.
+fn cell_traffic(cfg: &SimConfig, cell: u32, root: &Rng) -> CellTraffic {
+    CellTraffic::for_cell(
+        cfg.cell,
+        TrafficConfig {
+            load: cfg.load,
+            // Peak provisioning drives near-peak volume into every slot
+            // (the Table 2/3 sizing criterion).
+            mean_at_full: if cfg.peak_provisioning { 0.95 } else { 0.5 },
+        },
+        cell,
+        root,
+    )
+}
+
+/// Groups `cells` by slot-boundary phase, ascending phase, each group in
+/// the cells' order.
+fn phase_groups<'a>(cells: impl Iterator<Item = &'a CellInstance>) -> Vec<(Nanos, Vec<u32>)> {
+    let mut groups: Vec<(Nanos, Vec<u32>)> = Vec::new();
+    for cell in cells {
+        match groups.iter_mut().find(|(p, _)| *p == cell.phase) {
+            Some((_, group)) => group.push(cell.id),
+            None => groups.push((cell.phase, vec![cell.id])),
+        }
+    }
+    groups.sort_by_key(|(p, _)| *p);
+    groups
+}
+
+/// The generator's payload draw for one slot direction. The special slot
+/// carries a reduced DL volume.
+fn draw_bytes(traffic: &mut CellTraffic, dir: SlotDirection) -> f64 {
+    match dir {
+        SlotDirection::Uplink => traffic.next_ul_bytes(),
+        SlotDirection::Downlink => traffic.next_dl_bytes(),
+        SlotDirection::Special => traffic.next_dl_bytes() * 0.6,
+    }
+}
+
 impl Simulation {
     /// Builds the simulation: runs the offline profiling phase, trains the
     /// predictor bank, and sets up the pool, per-cell traffic sources and
@@ -225,29 +264,9 @@ impl Simulation {
                 }
             })
             .collect();
-        let mut boundary_groups: Vec<(Nanos, Vec<u32>)> = Vec::new();
-        for cell in &cells {
-            match boundary_groups.iter_mut().find(|(p, _)| *p == cell.phase) {
-                Some((_, group)) => group.push(cell.id),
-                None => boundary_groups.push((cell.phase, vec![cell.id])),
-            }
-        }
-        boundary_groups.sort_by_key(|(p, _)| *p);
-
+        let boundary_groups = phase_groups(cells.iter());
         let traffic = (0..cfg.n_cells)
-            .map(|c| {
-                CellTraffic::for_cell(
-                    cfg.cell,
-                    TrafficConfig {
-                        load: cfg.load,
-                        // Peak provisioning drives near-peak volume into
-                        // every slot (the Table 2/3 sizing criterion).
-                        mean_at_full: if cfg.peak_provisioning { 0.95 } else { 0.5 },
-                    },
-                    c,
-                    &root,
-                )
-            })
+            .map(|c| cell_traffic(&cfg, c, &root))
             .collect();
 
         let (mix, static_pressure) = match cfg.colocation {
@@ -360,8 +379,21 @@ impl Simulation {
         }
     }
 
-    fn predict_wcet(&self, kind: TaskKind, x: &FeatureVec) -> Option<Nanos> {
-        self.predict_us(kind, x).map(Nanos::from_micros_f64)
+    /// The WCET budget of a task dispatched on a pool of `granted` cores:
+    /// the serving prediction, or 1.5× the expected cost where no model
+    /// covers the kind, scaled by `wcet_factor` (the cell's guard
+    /// inflation over any injected predictor bias).
+    fn node_wcet(&self, task: &TaskInstance, granted: u32, wcet_factor: f64) -> Nanos {
+        let mut params = task.params;
+        params.pool_cores = granted;
+        self.predict_us(task.kind, &extract(&params))
+            .map(Nanos::from_micros_f64)
+            .unwrap_or_else(|| {
+                self.cost
+                    .expected_cost_on_pool(task.kind, &params)
+                    .scale(1.5)
+            })
+            .scale(wcet_factor)
     }
 
     /// The worst current guard inflation across cells — what the trace and
@@ -675,17 +707,7 @@ impl Simulation {
                     let node_wcet = mac
                         .nodes
                         .iter()
-                        .map(|n| {
-                            let mut params = n.task.params;
-                            params.pool_cores = granted;
-                            self.predict_wcet(n.task.kind, &extract(&params))
-                                .unwrap_or_else(|| {
-                                    self.cost
-                                        .expected_cost_on_pool(n.task.kind, &params)
-                                        .scale(1.5)
-                                })
-                                .scale(wcet_factor)
-                        })
+                        .map(|n| self.node_wcet(&n.task, granted, wcet_factor))
                         .collect();
                     self.pool.inject_dag(ScheduledDag {
                         dag: mac,
@@ -696,14 +718,7 @@ impl Simulation {
             let dirs = self.cfg.cell.duplex.directions(slot);
             for &dir in dirs {
                 let bytes = match self.scenario.as_ref() {
-                    None => {
-                        match dir {
-                            SlotDirection::Uplink => self.traffic[c].next_ul_bytes(),
-                            SlotDirection::Downlink => self.traffic[c].next_dl_bytes(),
-                            // The special slot carries a reduced DL volume.
-                            SlotDirection::Special => self.traffic[c].next_dl_bytes() * 0.6,
-                        }
-                    }
+                    None => draw_bytes(&mut self.traffic[c], dir),
                     Some(env) => {
                         // Replay scenarios source volumes from the frozen
                         // trace and skip the generator entirely. Envelope
@@ -711,11 +726,7 @@ impl Simulation {
                         let drawn = if env.is_replay() {
                             0.0
                         } else {
-                            match dir {
-                                SlotDirection::Uplink => self.traffic[c].next_ul_bytes(),
-                                SlotDirection::Downlink => self.traffic[c].next_dl_bytes(),
-                                SlotDirection::Special => self.traffic[c].next_dl_bytes() * 0.6,
-                            }
+                            draw_bytes(&mut self.traffic[c], dir)
                         };
                         let uplink = dir == SlotDirection::Uplink;
                         let peak = if uplink {
@@ -760,17 +771,11 @@ impl Simulation {
                     continue;
                 }
                 node_wcet.clear();
-                node_wcet.extend(dag.nodes.iter().map(|n| {
-                    let mut params = n.task.params;
-                    params.pool_cores = granted;
-                    self.predict_wcet(n.task.kind, &extract(&params))
-                        .unwrap_or_else(|| {
-                            self.cost
-                                .expected_cost_on_pool(n.task.kind, &params)
-                                .scale(1.5)
-                        })
-                        .scale(wcet_factor)
-                }));
+                node_wcet.extend(
+                    dag.nodes
+                        .iter()
+                        .map(|n| self.node_wcet(&n.task, granted, wcet_factor)),
+                );
                 self.pool.inject_dag(ScheduledDag { dag, node_wcet });
             }
         }
@@ -929,15 +934,7 @@ impl Simulation {
     /// Draining cells drop out (no new DAGs); everything else keeps the
     /// id-ordered injection the groups were built with.
     fn rebuild_boundary_groups(&mut self) {
-        let mut groups: Vec<(Nanos, Vec<u32>)> = Vec::new();
-        for cell in self.cells.iter().filter(|c| c.is_active()) {
-            match groups.iter_mut().find(|(p, _)| *p == cell.phase) {
-                Some((_, group)) => group.push(cell.id),
-                None => groups.push((cell.phase, vec![cell.id])),
-            }
-        }
-        groups.sort_by_key(|(p, _)| *p);
-        self.boundary_groups = groups;
+        self.boundary_groups = phase_groups(self.cells.iter().filter(|c| c.is_active()));
         self.boundary_epoch += 1;
     }
 
@@ -974,20 +971,8 @@ impl Simulation {
         };
         self.cells.push(inst);
         self.guards.push(MispredictionGuard::default());
-        let root = Rng::new(self.cfg.seed);
-        self.traffic.push(CellTraffic::for_cell(
-            self.cfg.cell,
-            TrafficConfig {
-                load: self.cfg.load,
-                mean_at_full: if self.cfg.peak_provisioning {
-                    0.95
-                } else {
-                    0.5
-                },
-            },
-            id,
-            &root,
-        ));
+        self.traffic
+            .push(cell_traffic(&self.cfg, id, &Rng::new(self.cfg.seed)));
         if let Some(env) = self.scenario.as_mut() {
             env.ensure_cells(id + 1);
         }

@@ -71,8 +71,8 @@ proptest! {
         master in 0u64..1_000,
     ) {
         let base = small(cells, 0, 0.4);
-        let serial = run_sweep(&base, master, 2, 1).to_canonical_json();
-        let threaded = run_sweep(&base, master, 2, 8).to_canonical_json();
+        let serial = run_sweep(&base, master, 2, 1, None).to_canonical_json();
+        let threaded = run_sweep(&base, master, 2, 8, None).to_canonical_json();
         prop_assert_eq!(serial, threaded);
     }
 }

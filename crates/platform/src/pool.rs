@@ -55,6 +55,9 @@ pub struct Observation {
     pub runtime_us: f64,
 }
 
+/// EMA smoothing for the utilization signal.
+const UTILIZATION_ALPHA: f64 = 0.05;
+
 /// Pool configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct PoolConfig {
@@ -62,13 +65,6 @@ pub struct PoolConfig {
     pub cores: u32,
     /// Physical-core rotation period (§5: 2 ms). `None` disables rotation.
     pub rotation: Option<Nanos>,
-    /// EMA smoothing for the utilization signal.
-    pub utilization_alpha: f64,
-    /// Whether a finishing worker keeps one DAG successor to run locally
-    /// (§2.1's cache-efficiency optimization).
-    pub keep_local_successor: bool,
-    /// Record per-task observations for online training.
-    pub record_observations: bool,
     /// Event engine; the calendar queue is the only one (see
     /// [`EngineChoice`]).
     pub engine: EngineChoice,
@@ -84,9 +80,6 @@ impl Default for PoolConfig {
         PoolConfig {
             cores: 8,
             rotation: Some(Nanos::from_millis(2)),
-            utilization_alpha: 0.05,
-            keep_local_successor: true,
-            record_observations: true,
             engine: EngineChoice::default(),
             arch: PoolArchChoice::default(),
         }
@@ -414,13 +407,6 @@ impl VranPool {
         self.fpga = Some((model, Vec::new()));
     }
 
-    /// Removes the FPGA (models a hot accelerator failure). In-flight
-    /// offload submissions fall back to the CPU path when they complete.
-    pub fn disable_fpga(&mut self) {
-        self.fpga = None;
-        self.parked_fpga = None;
-    }
-
     /// Installs the resolved fault timeline and schedules start/end events
     /// for every platform-level window. Call once, before running.
     pub fn set_fault_timeline(&mut self, timeline: Arc<FaultTimeline>) {
@@ -733,11 +719,6 @@ impl VranPool {
         self.arch.queued_for_cell(cell)
     }
 
-    /// The active architecture's stable name.
-    pub fn arch_name(&self) -> &'static str {
-        self.arch.name()
-    }
-
     /// Cell id of an active DAG slot (0 when the slot is already freed).
     fn cell_of(&self, dag: u32) -> u32 {
         self.dags[dag as usize]
@@ -1039,18 +1020,18 @@ impl VranPool {
             finished = d.remaining == 0;
         }
 
+        // §2.1's cache-efficiency optimization: the finishing worker keeps
+        // one successor to run locally, the one with the longest tail (most
+        // critical).
         let mut local: Option<(u32, u32)> = None;
-        if self.cfg.keep_local_successor {
-            if let Some(d) = self.dags[dag as usize].as_ref() {
-                // Keep the successor with the longest tail (most critical).
-                if let Some(best) = newly_ready
-                    .iter()
-                    .copied()
-                    .max_by_key(|&s| d.tail[s as usize])
-                {
-                    newly_ready.retain(|&s| s != best);
-                    local = Some((dag, best));
-                }
+        if let Some(d) = self.dags[dag as usize].as_ref() {
+            if let Some(best) = newly_ready
+                .iter()
+                .copied()
+                .max_by_key(|&s| d.tail[s as usize])
+            {
+                newly_ready.retain(|&s| s != best);
+                local = Some((dag, best));
             }
         }
         for &s in &newly_ready {
@@ -1198,7 +1179,7 @@ impl VranPool {
         };
         self.metrics.counters.record_task(interference);
         self.metrics.tasks_executed += 1;
-        if self.cfg.record_observations && !offload {
+        if !offload {
             self.observations.push(Observation {
                 cell,
                 kind,
@@ -1290,8 +1271,8 @@ impl VranPool {
     fn update_utilization(&mut self) {
         let granted = self.effective_granted().max(1);
         let inst = self.running_tasks as f64 / granted as f64;
-        let a = self.cfg.utilization_alpha;
-        self.utilization_ema = a * inst + (1.0 - a) * self.utilization_ema;
+        self.utilization_ema =
+            UTILIZATION_ALPHA * inst + (1.0 - UTILIZATION_ALPHA) * self.utilization_ema;
     }
 
     fn fill_progress(&self, out: &mut Vec<DagProgress>) {
@@ -1539,7 +1520,7 @@ mod tests {
     use super::*;
     use crate::sched_api::DedicatedScheduler;
     use concordia_ran::cell::CellConfig;
-    use concordia_ran::dag::{build_uplink_dag, SlotWorkload, UeAlloc};
+    use concordia_ran::dag::{build_dag, SlotWorkload, UeAlloc};
     use concordia_ran::numerology::SlotDirection;
 
     fn test_dag(arrival: Nanos, ue_bytes: u32, n_ues: usize) -> ScheduledDag {
@@ -1556,7 +1537,7 @@ mod tests {
                 })
                 .collect(),
         };
-        let dag = build_uplink_dag(&cell, 0, 0, arrival, &wl);
+        let dag = build_dag(&cell, 0, 0, arrival, &wl);
         let cost = CostModel::new();
         let node_wcet = dag
             .nodes

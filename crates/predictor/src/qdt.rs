@@ -99,14 +99,6 @@ impl QuantileDecisionTree {
         self.leaves[leaf].samples()
     }
 
-    /// Clears every leaf buffer (used by the online-adaptation ablation to
-    /// model a freshly deployed tree with no history).
-    pub fn clear_buffers(&mut self) {
-        for l in &mut self.leaves {
-            l.clear();
-        }
-    }
-
     fn leaf_stat(&self, leaf: usize) -> f64 {
         let rb = &self.leaves[leaf];
         let v = match self.stat {

@@ -197,11 +197,6 @@ impl Tree {
         self.n_leaves
     }
 
-    /// Total node count.
-    pub fn n_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Features the tree was fitted on.
     pub fn features_used(&self) -> &[usize] {
         &self.features_used

@@ -32,105 +32,69 @@ pub const MIN_DECODE_ITERS: f64 = 3.0;
 /// decoding stops at success or at a threshold).
 pub const MAX_DECODE_ITERS: f64 = 12.0;
 
-/// Calibration constants of the cost model. All `*_us` values are
-/// microseconds; `per_bit` values are microseconds per bit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CostCalibration {
-    /// Fixed dispatch/setup cost added to every task.
-    pub task_base_us: f64,
-    /// LDPC decode: cost per codeblock per iteration at 8448 bits.
-    pub decode_per_cb_iter_us: f64,
-    /// LDPC decode: per-codeblock setup cost.
-    pub decode_cb_base_us: f64,
-    /// LDPC encode: per-codeblock cost.
-    pub encode_per_cb_us: f64,
-    /// Channel estimation: per PRB per antenna.
-    pub chanest_per_prb_ant_us: f64,
-    /// Equalization: per PRB per layer².
-    pub equalization_per_prb_layer2_us: f64,
-    /// Demodulation: per transport bit (scaled by modulation order / 6).
-    pub demod_per_bit_us: f64,
-    /// Descrambling: per transport bit.
-    pub descramble_per_bit_us: f64,
-    /// Rate dematching: per *coded* bit (transport bits / code rate).
-    pub dematch_per_coded_bit_us: f64,
-    /// CRC check/attach: per transport bit.
-    pub crc_per_bit_us: f64,
-    /// FFT/iFFT: per symbol per PRB per antenna.
-    pub fft_per_sym_prb_ant_us: f64,
-    /// Polar code control processing: fixed.
-    pub polar_fixed_us: f64,
-    /// Rate matching (DL): per transport bit.
-    pub ratematch_per_bit_us: f64,
-    /// Scrambling (DL): per transport bit.
-    pub scramble_per_bit_us: f64,
-    /// Modulation mapping: per transport bit (scaled by mod order / 6).
-    pub modulation_per_bit_us: f64,
-    /// Precoding: per PRB per layer per antenna.
-    pub precoding_per_prb_layer_ant_us: f64,
-    /// Turbo decode (LTE): per-codeblock per-iteration cost at 6144 bits.
-    /// Turbo decoding is costlier per bit than LDPC (§A.1; serial MAP
-    /// half-iterations).
-    pub turbo_per_cb_iter_us: f64,
-    /// Turbo decode: per-codeblock setup cost.
-    pub turbo_cb_base_us: f64,
-    /// Turbo encode (LTE): per-codeblock cost.
-    pub turbo_encode_per_cb_us: f64,
-    /// MAC scheduling: cost per UE per antenna-normalized PRB log factor
-    /// (§7: Massive MIMO makes the user-to-antenna mapping expensive).
-    pub mac_per_ue_us: f64,
-    /// MAC scheduling: fixed slot cost.
-    pub mac_base_us: f64,
-    /// Multi-core memory-stall coefficient: inflation approaches
-    /// `1 + coeff` as the pool widens (Fig. 6a shows up to ~25 %).
-    pub multicore_stall_coeff: f64,
-    /// Lognormal sigma of the execution-noise body.
-    pub noise_sigma: f64,
-    /// Probability of an intrinsic tail event (TLB miss burst, SMI, …) even
-    /// in isolation.
-    pub tail_prob: f64,
-    /// Multiplier range of intrinsic tail events.
-    pub tail_scale: f64,
-}
+// Calibration constants of the cost model. All `*_US` values are
+// microseconds; `PER_BIT` values are microseconds per bit.
 
-impl Default for CostCalibration {
-    fn default() -> Self {
-        CostCalibration {
-            task_base_us: 1.0,
-            decode_per_cb_iter_us: 2.3,
-            decode_cb_base_us: 2.6,
-            encode_per_cb_us: 3.0,
-            chanest_per_prb_ant_us: 0.08,
-            equalization_per_prb_layer2_us: 0.012,
-            demod_per_bit_us: 0.000_16,
-            descramble_per_bit_us: 0.000_05,
-            dematch_per_coded_bit_us: 0.000_08,
-            crc_per_bit_us: 0.000_02,
-            fft_per_sym_prb_ant_us: 0.005,
-            polar_fixed_us: 7.0,
-            ratematch_per_bit_us: 0.000_05,
-            scramble_per_bit_us: 0.000_03,
-            modulation_per_bit_us: 0.000_10,
-            precoding_per_prb_layer_ant_us: 0.030,
-            turbo_per_cb_iter_us: 2.9,
-            turbo_cb_base_us: 2.0,
-            turbo_encode_per_cb_us: 2.2,
-            mac_per_ue_us: 1.1,
-            mac_base_us: 3.0,
-            multicore_stall_coeff: 0.27,
-            noise_sigma: 0.045,
-            tail_prob: 0.002,
-            tail_scale: 0.6,
-        }
-    }
-}
+/// Fixed dispatch/setup cost added to every task.
+const TASK_BASE_US: f64 = 1.0;
+/// LDPC decode: cost per codeblock per iteration at 8448 bits.
+const DECODE_PER_CB_ITER_US: f64 = 2.3;
+/// LDPC decode: per-codeblock setup cost.
+const DECODE_CB_BASE_US: f64 = 2.6;
+/// LDPC encode: per-codeblock cost.
+const ENCODE_PER_CB_US: f64 = 3.0;
+/// Channel estimation: per PRB per antenna.
+const CHANEST_PER_PRB_ANT_US: f64 = 0.08;
+/// Equalization: per PRB per layer².
+const EQUALIZATION_PER_PRB_LAYER2_US: f64 = 0.012;
+/// Demodulation: per transport bit (scaled by modulation order / 6).
+const DEMOD_PER_BIT_US: f64 = 0.000_16;
+/// Descrambling: per transport bit.
+const DESCRAMBLE_PER_BIT_US: f64 = 0.000_05;
+/// Rate dematching: per *coded* bit (transport bits / code rate).
+const DEMATCH_PER_CODED_BIT_US: f64 = 0.000_08;
+/// CRC check/attach: per transport bit.
+const CRC_PER_BIT_US: f64 = 0.000_02;
+/// FFT/iFFT: per symbol per PRB per antenna.
+const FFT_PER_SYM_PRB_ANT_US: f64 = 0.005;
+/// Polar code control processing: fixed.
+const POLAR_FIXED_US: f64 = 7.0;
+/// Rate matching (DL): per transport bit.
+const RATEMATCH_PER_BIT_US: f64 = 0.000_05;
+/// Scrambling (DL): per transport bit.
+const SCRAMBLE_PER_BIT_US: f64 = 0.000_03;
+/// Modulation mapping: per transport bit (scaled by mod order / 6).
+const MODULATION_PER_BIT_US: f64 = 0.000_10;
+/// Precoding: per PRB per layer per antenna.
+const PRECODING_PER_PRB_LAYER_ANT_US: f64 = 0.030;
+/// Turbo decode (LTE): per-codeblock per-iteration cost at 6144 bits.
+/// Turbo decoding is costlier per bit than LDPC (§A.1; serial MAP
+/// half-iterations).
+const TURBO_PER_CB_ITER_US: f64 = 2.9;
+/// Turbo decode: per-codeblock setup cost.
+const TURBO_CB_BASE_US: f64 = 2.0;
+/// Turbo encode (LTE): per-codeblock cost.
+const TURBO_ENCODE_PER_CB_US: f64 = 2.2;
+/// MAC scheduling: cost per UE per antenna-normalized PRB log factor
+/// (§7: Massive MIMO makes the user-to-antenna mapping expensive).
+const MAC_PER_UE_US: f64 = 1.1;
+/// MAC scheduling: fixed slot cost.
+const MAC_BASE_US: f64 = 3.0;
+/// Multi-core memory-stall coefficient: as the pool widens, inflation
+/// approaches `1 + MULTICORE_STALL_COEFF` (Fig. 6a shows up to ~25 %).
+const MULTICORE_STALL_COEFF: f64 = 0.27;
+/// Lognormal sigma of the execution-noise body.
+const NOISE_SIGMA: f64 = 0.045;
+/// Probability of an intrinsic tail event (TLB miss burst, SMI, …) even
+/// in isolation.
+const TAIL_PROB: f64 = 0.002;
+/// Multiplier range of intrinsic tail events.
+const TAIL_SCALE: f64 = 0.6;
 
 /// The task cost model: deterministic expected costs plus stochastic
 /// sampling with interference.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct CostModel {
-    /// Calibration constants.
-    pub cal: CostCalibration,
     /// Pramanik-style per-platform compute scale: every task cost is
     /// multiplied by this factor. `None` is the calibration platform (the
     /// paper's Xeon 8168, scale 1.0) and leaves costs bit-identical —
@@ -140,7 +104,7 @@ pub struct CostModel {
 }
 
 impl CostModel {
-    /// Creates a model with the default calibration.
+    /// Creates the model of the calibration platform.
     pub fn new() -> Self {
         Self::default()
     }
@@ -154,7 +118,6 @@ impl CostModel {
             "bad platform scale {scale}"
         );
         CostModel {
-            cal: CostCalibration::default(),
             platform_scale: if scale == 1.0 { None } else { Some(scale) },
         }
     }
@@ -180,14 +143,14 @@ impl CostModel {
 
     /// Multi-core memory-stall inflation factor for a pool of `cores`
     /// workers: 1.0 on a single core, saturating toward
-    /// `1 + multicore_stall_coeff` for wide pools (Fig. 6a/6b).
+    /// `1 + MULTICORE_STALL_COEFF` for wide pools (Fig. 6a/6b).
     ///
     /// Only memory-bound task kinds are affected (see
     /// [`CostModel::memory_bound_fraction`]); the caller applies the factor
     /// to that fraction of the cost.
     pub fn multicore_factor(&self, cores: u32) -> f64 {
         let c = cores.max(1) as f64;
-        1.0 + self.cal.multicore_stall_coeff * (1.0 - 1.0 / c)
+        1.0 + MULTICORE_STALL_COEFF * (1.0 - 1.0 / c)
     }
 
     /// Fraction of a task's cost that is memory-bound — the share that
@@ -222,7 +185,6 @@ impl CostModel {
     /// is sampled (geometric-ish spread around the expectation) instead of
     /// using the expectation, capturing per-codeword decoding variance.
     fn base_cost_us(&self, kind: TaskKind, p: &TaskParams, rng: Option<&mut Rng>) -> f64 {
-        let c = &self.cal;
         let mod_factor = p.modulation_order as f64 / 6.0;
         let us = match kind {
             TaskKind::LdpcDecode => {
@@ -236,40 +198,35 @@ impl CostModel {
                 }
                 let bits_scale = p.cb_bits as f64 / crate::transport::BG1_MAX_CB_BITS as f64;
                 p.n_cbs as f64
-                    * (c.decode_cb_base_us + c.decode_per_cb_iter_us * iters)
+                    * (DECODE_CB_BASE_US + DECODE_PER_CB_ITER_US * iters)
                     * bits_scale.max(0.1)
             }
             TaskKind::LdpcEncode => {
                 let bits_scale = p.cb_bits as f64 / crate::transport::BG1_MAX_CB_BITS as f64;
-                p.n_cbs as f64 * c.encode_per_cb_us * bits_scale.max(0.1)
+                p.n_cbs as f64 * ENCODE_PER_CB_US * bits_scale.max(0.1)
             }
             TaskKind::ChannelEstimation => {
-                c.chanest_per_prb_ant_us * p.prbs as f64 * p.antennas as f64
+                CHANEST_PER_PRB_ANT_US * p.prbs as f64 * p.antennas as f64
             }
             TaskKind::Equalization => {
-                c.equalization_per_prb_layer2_us
-                    * p.prbs as f64
-                    * (p.layers as f64).powi(2).max(1.0)
+                EQUALIZATION_PER_PRB_LAYER2_US * p.prbs as f64 * (p.layers as f64).powi(2).max(1.0)
             }
-            TaskKind::Demodulation => c.demod_per_bit_us * p.tb_bits as f64 * mod_factor,
-            TaskKind::Descrambling => c.descramble_per_bit_us * p.tb_bits as f64,
+            TaskKind::Demodulation => DEMOD_PER_BIT_US * p.tb_bits as f64 * mod_factor,
+            TaskKind::Descrambling => DESCRAMBLE_PER_BIT_US * p.tb_bits as f64,
             TaskKind::RateDematch => {
                 let coded_bits = p.tb_bits as f64 / p.code_rate.max(0.05);
-                c.dematch_per_coded_bit_us * coded_bits
+                DEMATCH_PER_CODED_BIT_US * coded_bits
             }
-            TaskKind::CrcCheck | TaskKind::CrcAttach => c.crc_per_bit_us * p.tb_bits as f64,
+            TaskKind::CrcCheck | TaskKind::CrcAttach => CRC_PER_BIT_US * p.tb_bits as f64,
             TaskKind::Fft | TaskKind::Ifft => {
-                c.fft_per_sym_prb_ant_us * p.symbols as f64 * p.prbs as f64 * p.antennas as f64
+                FFT_PER_SYM_PRB_ANT_US * p.symbols as f64 * p.prbs as f64 * p.antennas as f64
             }
-            TaskKind::PolarDecode | TaskKind::PolarEncode => c.polar_fixed_us,
-            TaskKind::RateMatch => c.ratematch_per_bit_us * p.tb_bits as f64,
-            TaskKind::Scrambling => c.scramble_per_bit_us * p.tb_bits as f64,
-            TaskKind::Modulation => c.modulation_per_bit_us * p.tb_bits as f64 * mod_factor,
+            TaskKind::PolarDecode | TaskKind::PolarEncode => POLAR_FIXED_US,
+            TaskKind::RateMatch => RATEMATCH_PER_BIT_US * p.tb_bits as f64,
+            TaskKind::Scrambling => SCRAMBLE_PER_BIT_US * p.tb_bits as f64,
+            TaskKind::Modulation => MODULATION_PER_BIT_US * p.tb_bits as f64 * mod_factor,
             TaskKind::Precoding => {
-                c.precoding_per_prb_layer_ant_us
-                    * p.prbs as f64
-                    * p.layers as f64
-                    * p.antennas as f64
+                PRECODING_PER_PRB_LAYER_ANT_US * p.prbs as f64 * p.layers as f64 * p.antennas as f64
             }
             TaskKind::TurboDecode => {
                 let req = crate::transport::Mcs::from_index(p.mcs_index).required_snr_db();
@@ -280,23 +237,22 @@ impl CostModel {
                 }
                 let bits_scale = p.cb_bits as f64 / crate::transport::LTE_MAX_CB_BITS as f64;
                 p.n_cbs as f64
-                    * (c.turbo_cb_base_us + c.turbo_per_cb_iter_us * iters)
+                    * (TURBO_CB_BASE_US + TURBO_PER_CB_ITER_US * iters)
                     * bits_scale.max(0.1)
             }
             TaskKind::TurboEncode => {
                 let bits_scale = p.cb_bits as f64 / crate::transport::LTE_MAX_CB_BITS as f64;
-                p.n_cbs as f64 * c.turbo_encode_per_cb_us * bits_scale.max(0.1)
+                p.n_cbs as f64 * TURBO_ENCODE_PER_CB_US * bits_scale.max(0.1)
             }
             TaskKind::MacScheduling => {
                 // §7: scheduling complexity fluctuates with scheduled users
                 // and the antenna mapping (Massive MIMO).
                 let antenna_factor = (p.antennas as f64 / 4.0).max(0.5);
                 let prb_log = (p.prbs.max(2) as f64).log2();
-                c.mac_base_us
-                    + c.mac_per_ue_us * p.n_ues_slot as f64 * antenna_factor * prb_log / 6.0
+                MAC_BASE_US + MAC_PER_UE_US * p.n_ues_slot as f64 * antenna_factor * prb_log / 6.0
             }
         };
-        let us = c.task_base_us + us;
+        let us = TASK_BASE_US + us;
         // Platform transfer multiplies at the very end so every kind scales
         // uniformly; the reference platform takes the untouched path.
         match self.platform_scale {
@@ -323,10 +279,10 @@ impl CostModel {
         let mem_factor = self.multicore_factor(p.pool_cores) * interference.max(1.0);
         let stretched = base * (1.0 - mem_frac) + base * mem_frac * mem_factor;
         // Lognormal body noise.
-        let mut us = stretched * rng.lognormal(0.0, self.cal.noise_sigma);
+        let mut us = stretched * rng.lognormal(0.0, NOISE_SIGMA);
         // Rare intrinsic tail events.
-        if rng.chance(self.cal.tail_prob) {
-            us *= 1.0 + rng.f64() * self.cal.tail_scale;
+        if rng.chance(TAIL_PROB) {
+            us *= 1.0 + rng.f64() * TAIL_SCALE;
         }
         Nanos::from_micros_f64(us)
     }

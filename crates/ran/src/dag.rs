@@ -65,17 +65,6 @@ impl SlotWorkload {
             .map(|u| segment_codeblocks(u.tb_bits()).1)
             .sum()
     }
-
-    /// Total codeblocks for a given generation's segmentation rule.
-    pub fn total_cbs_for(&self, generation: RanGeneration) -> u32 {
-        self.ues
-            .iter()
-            .map(|u| match generation {
-                RanGeneration::Nr => segment_codeblocks(u.tb_bits()).1,
-                RanGeneration::Lte => segment_codeblocks_lte(u.tb_bits()),
-            })
-            .sum()
-    }
 }
 
 /// A node of a slot DAG.
@@ -329,33 +318,14 @@ fn cb_groups(n_cbs: u32) -> impl Iterator<Item = u32> {
     std::iter::repeat_n(CB_GROUP, full).chain((rem > 0).then_some(rem))
 }
 
-/// Builds the uplink slot DAG of Fig. 1.
+/// Builds the uplink slot DAG of Fig. 1 (see [`build_dag_into`] for the
+/// buffers).
 ///
 /// Structure: FFT → {per UE: channel estimation → equalization →
 /// demodulation → descrambling → {per codeblock group: rate dematch → LDPC
 /// decode} → CRC check}, plus PUCCH polar decoding off the FFT. An idle
 /// slot still carries the always-on receive work (FFT + control decode).
-pub fn build_uplink_dag(
-    cell: &CellConfig,
-    cell_id: u32,
-    slot_idx: u64,
-    arrival: Nanos,
-    wl: &SlotWorkload,
-) -> SlotDag {
-    build_uplink_dag_into(
-        cell,
-        cell_id,
-        slot_idx,
-        arrival,
-        wl,
-        Vec::new(),
-        &mut DagScratch::default(),
-    )
-}
-
-/// [`build_uplink_dag`] over a recycled node buffer and builder scratch
-/// (see [`build_dag_into`]).
-pub fn build_uplink_dag_into(
+fn build_uplink(
     cell: &CellConfig,
     cell_id: u32,
     slot_idx: u64,
@@ -460,33 +430,14 @@ pub fn build_uplink_dag_into(
     dag
 }
 
-/// Builds the downlink slot DAG of Fig. 16.
+/// Builds the downlink slot DAG of Fig. 16 (see [`build_dag_into`] for
+/// the buffers).
 ///
 /// Structure: {per UE: CRC attach → {per codeblock group: LDPC encode →
 /// rate match} → scrambling → modulation → precoding} → iFFT, with PDCCH
 /// polar encoding also feeding the iFFT. An idle slot still carries the
 /// always-on transmit work (control encode + iFFT).
-pub fn build_downlink_dag(
-    cell: &CellConfig,
-    cell_id: u32,
-    slot_idx: u64,
-    arrival: Nanos,
-    wl: &SlotWorkload,
-) -> SlotDag {
-    build_downlink_dag_into(
-        cell,
-        cell_id,
-        slot_idx,
-        arrival,
-        wl,
-        Vec::new(),
-        &mut DagScratch::default(),
-    )
-}
-
-/// [`build_downlink_dag`] over a recycled node buffer and builder scratch
-/// (see [`build_dag_into`]).
-pub fn build_downlink_dag_into(
+fn build_downlink(
     cell: &CellConfig,
     cell_id: u32,
     slot_idx: u64,
@@ -638,7 +589,9 @@ pub fn build_mac_dag(
     dag
 }
 
-/// Builds the DAG for a slot in the given direction.
+/// Builds the DAG for a slot in the workload's direction: the uplink DAG
+/// of Fig. 1, or the downlink DAG of Fig. 16 for downlink and special
+/// slots.
 pub fn build_dag(
     cell: &CellConfig,
     cell_id: u32,
@@ -675,11 +628,9 @@ pub fn build_dag_into(
     scratch: &mut DagScratch,
 ) -> SlotDag {
     match wl.direction {
-        SlotDirection::Uplink => {
-            build_uplink_dag_into(cell, cell_id, slot_idx, arrival, wl, buf, scratch)
-        }
+        SlotDirection::Uplink => build_uplink(cell, cell_id, slot_idx, arrival, wl, buf, scratch),
         SlotDirection::Downlink | SlotDirection::Special => {
-            build_downlink_dag_into(cell, cell_id, slot_idx, arrival, wl, buf, scratch)
+            build_downlink(cell, cell_id, slot_idx, arrival, wl, buf, scratch)
         }
     }
 }
@@ -708,7 +659,7 @@ mod tests {
     #[test]
     fn idle_uplink_slot_has_only_receive_baseline() {
         let cell = CellConfig::tdd_100mhz();
-        let dag = build_uplink_dag(&cell, 0, 0, Nanos::ZERO, &ul_workload(vec![]));
+        let dag = build_dag(&cell, 0, 0, Nanos::ZERO, &ul_workload(vec![]));
         assert_eq!(dag.len(), 2); // FFT + polar decode
         assert!(dag.validate().is_ok());
     }
@@ -717,10 +668,10 @@ mod tests {
     fn uplink_dag_node_count_scales_with_ues_and_cbs() {
         let cell = CellConfig::tdd_100mhz();
         // 10 KB => 80k bits => 10 CBs => 2 groups of (6,4).
-        let one = build_uplink_dag(&cell, 0, 0, Nanos::ZERO, &ul_workload(vec![ue(10_000)]));
+        let one = build_dag(&cell, 0, 0, Nanos::ZERO, &ul_workload(vec![ue(10_000)]));
         // FFT + polar + (ce, eq, demod, descr) + 2*(rd, dec) + crc = 2+4+4+1 = 11
         assert_eq!(one.len(), 11);
-        let two = build_uplink_dag(
+        let two = build_dag(
             &cell,
             0,
             0,
@@ -736,7 +687,7 @@ mod tests {
         // §2.1: "multiple LDPC decoding operations on different cores".
         // Decode groups of the same UE must not depend on each other.
         let cell = CellConfig::tdd_100mhz();
-        let dag = build_uplink_dag(&cell, 0, 0, Nanos::ZERO, &ul_workload(vec![ue(20_000)]));
+        let dag = build_dag(&cell, 0, 0, Nanos::ZERO, &ul_workload(vec![ue(20_000)]));
         let decode_ids: Vec<usize> = dag
             .nodes
             .iter()
@@ -756,7 +707,7 @@ mod tests {
     fn deadline_is_arrival_plus_cell_deadline() {
         let cell = CellConfig::fdd_20mhz();
         let arrival = Nanos::from_millis(5);
-        let dag = build_uplink_dag(&cell, 3, 7, arrival, &ul_workload(vec![ue(500)]));
+        let dag = build_dag(&cell, 3, 7, arrival, &ul_workload(vec![ue(500)]));
         assert_eq!(dag.deadline, arrival + Nanos::from_millis(2));
         assert_eq!(dag.cell_id, 3);
         assert_eq!(dag.slot_idx, 7);
@@ -769,7 +720,7 @@ mod tests {
             direction: SlotDirection::Downlink,
             ues: vec![ue(10_000)],
         };
-        let dag = build_downlink_dag(&cell, 0, 0, Nanos::ZERO, &wl);
+        let dag = build_dag(&cell, 0, 0, Nanos::ZERO, &wl);
         // polar + crc + 2*(enc, rm) + scr + mod + prec + ifft = 10
         assert_eq!(dag.len(), 10);
         assert!(dag.validate().is_ok());
@@ -784,7 +735,7 @@ mod tests {
     fn critical_path_at_most_total_work() {
         let cell = CellConfig::tdd_100mhz();
         let cost = CostModel::new();
-        let dag = build_uplink_dag(
+        let dag = build_dag(
             &cell,
             0,
             0,
@@ -805,7 +756,7 @@ mod tests {
         let cost = CostModel::new();
         // Peak: ~50 KB over 8 UEs.
         let ues: Vec<UeAlloc> = (0..8).map(|_| ue(6_250)).collect();
-        let dag = build_uplink_dag(&cell, 0, 0, Nanos::ZERO, &ul_workload(ues));
+        let dag = build_dag(&cell, 0, 0, Nanos::ZERO, &ul_workload(ues));
         let cp = dag.critical_path(&cost);
         assert!(
             cp < Nanos::from_micros(600),
@@ -820,7 +771,7 @@ mod tests {
         let cell = CellConfig::tdd_100mhz();
         let cost = CostModel::new();
         let ues: Vec<UeAlloc> = (0..8).map(|_| ue(6_250)).collect();
-        let dag = build_uplink_dag(&cell, 0, 0, Nanos::ZERO, &ul_workload(ues));
+        let dag = build_dag(&cell, 0, 0, Nanos::ZERO, &ul_workload(ues));
         let ratio =
             dag.total_work(&cost).as_nanos() as f64 / dag.critical_path(&cost).as_nanos() as f64;
         assert!(ratio > 2.5, "parallelism ratio {ratio}");
@@ -847,7 +798,7 @@ mod tests {
     fn lte_cell_builds_turbo_dags() {
         let cell = CellConfig::lte_20mhz();
         let wl = ul_workload(vec![ue(10_000)]);
-        let dag = build_uplink_dag(&cell, 0, 0, Nanos::ZERO, &wl);
+        let dag = build_dag(&cell, 0, 0, Nanos::ZERO, &wl);
         assert!(dag
             .nodes
             .iter()
@@ -860,7 +811,7 @@ mod tests {
             direction: SlotDirection::Downlink,
             ues: vec![ue(10_000)],
         };
-        let dag = build_downlink_dag(&cell, 0, 0, Nanos::ZERO, &dl);
+        let dag = build_dag(&cell, 0, 0, Nanos::ZERO, &dl);
         assert!(dag
             .nodes
             .iter()

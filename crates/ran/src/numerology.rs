@@ -35,11 +35,6 @@ impl Numerology {
         Nanos(1_000_000 >> self.0)
     }
 
-    /// Slots per 1 ms subframe.
-    pub fn slots_per_subframe(self) -> u32 {
-        1 << self.0
-    }
-
     /// OFDM symbols per slot (normal cyclic prefix).
     pub fn symbols_per_slot(self) -> u32 {
         14

@@ -22,26 +22,26 @@ use concordia_platform::sched_api::{PoolScheduler, PoolView};
 use concordia_ran::time::Nanos;
 use serde::{Deserialize, Serialize};
 
+/// Expected worst-case core wake latency budgeted when sizing the
+/// remaining time (newly granted cores do not run instantly, §2.3).
+const WAKE_MARGIN: Nanos = Nanos::from_micros(60);
+/// Critical-stage trigger: all cores are taken when the remaining time
+/// drops below `CRITICAL_FACTOR × remaining critical path + WAKE_MARGIN`.
+const CRITICAL_FACTOR: f64 = 2.0;
+/// Shrink hysteresis: once raised, the target is held for this long
+/// before it may shrink (§6.2: "the proactive allocation of cores …
+/// does not allow worker threads to yield while more signal processing
+/// tasks are expected during a TTI slot"). Keeps scheduling-event
+/// counts low (Fig. 10) and caches warm (Fig. 9).
+const SHRINK_HYSTERESIS: Nanos = Nanos::from_micros(1_100);
+
 /// Tunables of the Concordia scheduler.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ConcordiaConfig {
     /// Re-evaluation period (§3: 20 µs).
     pub tick: Nanos,
-    /// Expected worst-case core wake latency budgeted when sizing the
-    /// remaining time (newly granted cores do not run instantly, §2.3).
-    pub wake_margin: Nanos,
-    /// Critical-stage trigger: all cores are taken when the remaining time
-    /// drops below `critical_factor × remaining critical path +
-    /// wake_margin`.
-    pub critical_factor: f64,
     /// Multiplicative safety margin on the per-DAG core count.
     pub core_margin: f64,
-    /// Shrink hysteresis: once raised, the target is held for this long
-    /// before it may shrink (§6.2: "the proactive allocation of cores …
-    /// does not allow worker threads to yield while more signal processing
-    /// tasks are expected during a TTI slot"). Keeps scheduling-event
-    /// counts low (Fig. 10) and caches warm (Fig. 9).
-    pub shrink_hysteresis: Nanos,
     /// Degraded-mode overload detector: when ready tasks have been queuing
     /// continuously for at least this long the pool is visibly overloaded
     /// (a fault took cores away, runtimes are stalled, or the predictions
@@ -57,10 +57,7 @@ impl Default for ConcordiaConfig {
     fn default() -> Self {
         ConcordiaConfig {
             tick: Nanos::from_micros(20),
-            wake_margin: Nanos::from_micros(60),
-            critical_factor: 2.0,
             core_margin: 1.6,
-            shrink_hysteresis: Nanos::from_micros(1_100),
             overload_wait: Nanos::ZERO,
         }
     }
@@ -104,10 +101,8 @@ impl ConcordiaScheduler {
         remaining_work: Nanos,
         remaining_cp: Nanos,
     ) -> Option<f64> {
-        let d = deadline
-            .saturating_sub(now)
-            .saturating_sub(self.cfg.wake_margin);
-        let critical_bar = remaining_cp.scale(self.cfg.critical_factor) + self.cfg.wake_margin;
+        let d = deadline.saturating_sub(now).saturating_sub(WAKE_MARGIN);
+        let critical_bar = remaining_cp.scale(CRITICAL_FACTOR) + WAKE_MARGIN;
         if d <= critical_bar {
             return None; // critical stage
         }
@@ -199,7 +194,7 @@ impl PoolScheduler for ConcordiaScheduler {
             self.held_target = want;
             self.held_since = view.now;
             want
-        } else if view.now.saturating_sub(self.held_since) >= self.cfg.shrink_hysteresis {
+        } else if view.now.saturating_sub(self.held_since) >= SHRINK_HYSTERESIS {
             self.held_target -= 1;
             self.held_since = view.now;
             self.held_target

@@ -50,6 +50,27 @@ use concordia_ran::time::Nanos;
 use concordia_stats::summary::OnlineStats;
 use serde::{Deserialize, Serialize};
 
+/// Whole-model coverage trip: fraction of window samples exceeding the
+/// serving prediction.
+const MISS_RATE_TRIP: f64 = 0.25;
+/// Training-time reference quantile for the per-leaf test.
+const SHIFT_QUANTILE: f64 = 0.95;
+/// Per-leaf trip: fraction of a leaf's window samples above its reference
+/// quantile.
+const SHIFT_EXCEED_TRIP: f64 = 0.5;
+/// Replay-buffer capacity per lane.
+const REPLAY_CAPACITY: usize = 8_192;
+/// Shadow gate: maximum miss rate (actual > predicted) per window.
+const SHADOW_MISS_RATE: f64 = 0.02;
+/// Window reliability below this counts toward sustained overload.
+const SHED_RELIABILITY: f64 = 0.99;
+/// Window reliability below this escalates shedding toward rejection.
+const REJECT_RELIABILITY: f64 = 0.90;
+/// Consecutive overload windows before [`AdmissionLevel::Shed`]; twice as
+/// many (at reliability below [`REJECT_RELIABILITY`]) before
+/// [`AdmissionLevel::Reject`].
+const OVERLOAD_WINDOWS: u32 = 3;
+
 /// Tunables of the predictor control plane.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SupervisorConfig {
@@ -66,36 +87,16 @@ pub struct SupervisorConfig {
     pub calibration_margin: f64,
     /// Minimum observations in a window before it can be judged.
     pub min_samples: u64,
-    /// Whole-model coverage trip: fraction of window samples exceeding
-    /// the serving prediction.
-    pub miss_rate_trip: f64,
-    /// Training-time reference quantile for the per-leaf test.
-    pub shift_quantile: f64,
-    /// Per-leaf trip: fraction of a leaf's window samples above its
-    /// reference quantile.
-    pub shift_exceed_trip: f64,
     /// Minimum samples a leaf needs in a window before its test counts.
     pub leaf_min_samples: u64,
     /// Consecutive drifted windows before quarantine.
     pub consecutive_windows: u32,
     /// Multiplicative inflation on the fallback model's predictions.
     pub fallback_inflation: f64,
-    /// Replay-buffer capacity per lane.
-    pub replay_capacity: usize,
     /// Fresh (post-quarantine) samples required before a re-fit.
     pub retrain_min_samples: u64,
     /// Consecutive passing shadow windows before readmission.
     pub shadow_windows: u32,
-    /// Shadow gate: maximum miss rate (actual > predicted) per window.
-    pub shadow_miss_rate: f64,
-    /// Window reliability below this counts toward sustained overload.
-    pub shed_reliability: f64,
-    /// Window reliability below this escalates shedding toward rejection.
-    pub reject_reliability: f64,
-    /// Consecutive overload windows before [`AdmissionLevel::Shed`];
-    /// twice as many (at reliability below `reject_reliability`)
-    /// before [`AdmissionLevel::Reject`].
-    pub overload_windows: u32,
     /// Feed observations to the serving model (the §4.2 online-adaptation
     /// path). Disabled for frozen-model ablations and purity tests.
     pub online_feed: bool,
@@ -108,19 +109,11 @@ impl Default for SupervisorConfig {
             calibration_windows: 4,
             calibration_margin: 1.15,
             min_samples: 40,
-            miss_rate_trip: 0.25,
-            shift_quantile: 0.95,
-            shift_exceed_trip: 0.5,
             leaf_min_samples: 8,
             consecutive_windows: 2,
             fallback_inflation: 1.5,
-            replay_capacity: 8_192,
             retrain_min_samples: 500,
             shadow_windows: 3,
-            shadow_miss_rate: 0.02,
-            shed_reliability: 0.99,
-            reject_reliability: 0.90,
-            overload_windows: 3,
             online_feed: true,
         }
     }
@@ -271,7 +264,7 @@ impl Lane {
             for (leaf, st) in self.win_stats.iter().enumerate() {
                 if st.count() >= cfg.leaf_min_samples {
                     let rate = self.win_exceed[leaf] as f64 / st.count() as f64;
-                    if rate > cfg.shift_exceed_trip {
+                    if rate > SHIFT_EXCEED_TRIP {
                         return true;
                     }
                 }
@@ -281,7 +274,7 @@ impl Lane {
             // Whole-model coverage misses: the only available signal for
             // models without routable structure.
             let miss_rate = self.win_miss as f64 / self.win_total as f64;
-            miss_rate > cfg.miss_rate_trip
+            miss_rate > MISS_RATE_TRIP
         }
     }
 }
@@ -298,7 +291,7 @@ pub struct PredictorSupervisor {
     lanes: Vec<Option<Lane>>,
     counters: SupervisorCounters,
     admission: AdmissionLevel,
-    /// Consecutive windows below `shed_reliability`.
+    /// Consecutive windows below [`SHED_RELIABILITY`].
     overload_streak: u32,
     /// Set by a readmission; the runner consumes it to reset the
     /// misprediction guard (the retrained model must not inherit the
@@ -339,7 +332,7 @@ impl PredictorSupervisor {
         primary: Box<dyn WcetPredictor>,
         fallback: Box<dyn WcetPredictor>,
     ) {
-        let leaf_ref = primary.reference_quantiles(self.cfg.shift_quantile);
+        let leaf_ref = primary.reference_quantiles(SHIFT_QUANTILE);
         let n = leaf_ref.len();
         self.lanes[lane] = Some(Lane {
             primary,
@@ -355,7 +348,7 @@ impl PredictorSupervisor {
             shadow_total: 0,
             shadow_miss: 0,
             shadow_pass: 0,
-            replay: ReplayBuffer::new(self.cfg.replay_capacity),
+            replay: ReplayBuffer::new(REPLAY_CAPACITY),
         });
     }
 
@@ -529,7 +522,7 @@ impl PredictorSupervisor {
                 LaneState::Shadow => {
                     if l.shadow_total >= cfg.min_samples {
                         let miss = l.shadow_miss as f64 / l.shadow_total as f64;
-                        if miss <= cfg.shadow_miss_rate {
+                        if miss <= SHADOW_MISS_RATE {
                             l.shadow_pass += 1;
                             if l.shadow_pass >= cfg.shadow_windows {
                                 // Readmission: swap the re-fitted primary
@@ -537,7 +530,7 @@ impl PredictorSupervisor {
                                 // for the next round of drift detection.
                                 l.state = LaneState::Healthy;
                                 l.generation += 1;
-                                l.leaf_ref = l.primary.reference_quantiles(cfg.shift_quantile);
+                                l.leaf_ref = l.primary.reference_quantiles(SHIFT_QUANTILE);
                                 let n = l.leaf_ref.len();
                                 l.win_stats = (0..n).map(|_| OnlineStats::new()).collect();
                                 l.win_exceed = vec![0; n];
@@ -570,20 +563,19 @@ impl PredictorSupervisor {
         } else {
             1.0 - violations as f64 / dags as f64
         };
-        if dags > 0 && reliability < cfg.shed_reliability {
+        if dags > 0 && reliability < SHED_RELIABILITY {
             self.overload_streak += 1;
         } else {
             self.overload_streak = 0;
         }
-        self.admission = if self.overload_streak >= 2 * cfg.overload_windows
-            && reliability < cfg.reject_reliability
-        {
-            AdmissionLevel::Reject
-        } else if self.overload_streak >= cfg.overload_windows {
-            AdmissionLevel::Shed
-        } else {
-            AdmissionLevel::Normal
-        };
+        self.admission =
+            if self.overload_streak >= 2 * OVERLOAD_WINDOWS && reliability < REJECT_RELIABILITY {
+                AdmissionLevel::Reject
+            } else if self.overload_streak >= OVERLOAD_WINDOWS {
+                AdmissionLevel::Shed
+            } else {
+                AdmissionLevel::Normal
+            };
         if self.admission != AdmissionLevel::Normal {
             self.counters.shed_windows += 1;
         }
@@ -824,9 +816,8 @@ mod tests {
 
     #[test]
     fn admission_escalates_and_recovers() {
-        let cfg = test_cfg();
-        let windows = cfg.overload_windows;
-        let mut sup = PredictorSupervisor::new(cfg, 1);
+        let windows = OVERLOAD_WINDOWS;
+        let mut sup = PredictorSupervisor::new(test_cfg(), 1);
         assert_eq!(sup.admission(), AdmissionLevel::Normal);
         // Sustained mild overload → Shed.
         for _ in 0..windows {

@@ -190,6 +190,8 @@ mod tests {
     use crate::scenario::SearchSpace;
     use crate::testutil::ThresholdEval;
     use concordia_core::reconfig::{ReconfigPlan, ReconfigStep};
+    use concordia_core::runner::ParallelEval;
+    use concordia_platform::faults::FaultPlan;
 
     fn artifact() -> ReproArtifact {
         let base = SimConfig::paper_20mhz();
@@ -274,6 +276,66 @@ mod tests {
             ReproArtifact::from_json("{ not json").expect_err("garbage"),
             ArtifactError::Parse(_)
         ));
+    }
+
+    #[test]
+    fn artifacts_with_retired_config_keys_still_replay() {
+        // Three scheduler and eight supervisor settings became constants;
+        // artifacts written before that carry them as keys of the base
+        // configuration, at the values the constants now hold.
+        let mut base = SimConfig::paper_20mhz();
+        base.profiling_slots = 100;
+        base.supervisor = Some(Default::default());
+        let scenario = Scenario {
+            load: 0.5,
+            n_cells: 1,
+            cores: 4,
+            duration: concordia_ran::time::Nanos::from_millis(100),
+            faults: FaultPlan::none(),
+            reconfig: None,
+            workload: None,
+        };
+        let oracle = Oracle::Sla {
+            min_reliability: 0.99999,
+        };
+        let recorded = evaluate_scenarios(
+            &base,
+            &oracle,
+            std::slice::from_ref(&scenario),
+            &mut ParallelEval::new(1),
+        )
+        .remove(0);
+        let current = ReproArtifact::new(
+            oracle,
+            base,
+            scenario,
+            recorded.verdict.detail,
+            recorded.fingerprint,
+        )
+        .to_canonical_json();
+        let old = current
+            .replacen(
+                "\"Concordia\": {",
+                "\"Concordia\": {\"wake_margin\": 60000, \"critical_factor\": 2.0, \
+                 \"shrink_hysteresis\": 1100000,",
+                1,
+            )
+            .replacen(
+                "\"supervisor\": {",
+                "\"supervisor\": {\"miss_rate_trip\": 0.25, \"shift_quantile\": 0.95, \
+                 \"shift_exceed_trip\": 0.5, \"replay_capacity\": 8192, \
+                 \"shadow_miss_rate\": 0.02, \"shed_reliability\": 0.99, \
+                 \"reject_reliability\": 0.9, \"overload_windows\": 3,",
+                1,
+            );
+        for key in ["wake_margin", "shift_quantile", "overload_windows"] {
+            assert!(old.contains(key) && !current.contains(key), "{key}");
+        }
+
+        let loaded = ReproArtifact::from_json(&old).expect("an old artifact loads");
+        assert_eq!(loaded.to_canonical_json(), current);
+        let outcome = replay(&loaded, &mut ParallelEval::new(1));
+        assert!(outcome.reproduced, "{}", outcome.fingerprint);
     }
 
     #[test]

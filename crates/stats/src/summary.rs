@@ -73,12 +73,6 @@ impl OnlineStats {
         self.variance().sqrt()
     }
 
-    /// Sum of squared deviations from the mean (`n * variance`). This is the
-    /// exact quantity CART minimizes when scoring a split.
-    pub fn sum_sq_dev(&self) -> f64 {
-        self.m2.max(0.0)
-    }
-
     /// Minimum observation (`+inf` when empty).
     pub fn min(&self) -> f64 {
         self.min
