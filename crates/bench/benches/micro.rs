@@ -20,16 +20,22 @@
 //! * `train_dcor_ranking`, `train_backwards_elimination`, `train_qdt_fit`
 //!   — the three offline training stages of one task kind (Algorithm 1's
 //!   distance-correlation ranking and backwards elimination, then the
-//!   quantile-tree fit), all on one fixed `fdd_20mhz` profiling dataset.
+//!   quantile-tree fit), all on one fixed `fdd_20mhz` profiling dataset;
+//! * `pool_width/N` — one fixed stream of 100 MHz slot DAGs pushed through
+//!   a `VranPool` of N cores under the Concordia scheduler, per executed
+//!   task. The stream is the same at every width, so the row isolates
+//!   what the pool's own bookkeeping costs as the pool widens.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::hint::black_box;
+use std::time::{Duration, Instant};
 
 use concordia_core::profile::{profile, random_workload, train_bank};
 use concordia_core::PredictorChoice;
 use concordia_platform::events::CalendarQueue;
+use concordia_platform::pool::{PoolConfig, ScheduledDag, VranPool};
 use concordia_platform::sched_api::{DagProgress, PoolScheduler, PoolView};
 use concordia_predictor::featsel::{
     backwards_elimination, dcor_ranking, select_features, FeatSelConfig,
@@ -328,6 +334,76 @@ fn bench_training(c: &mut Criterion) {
     });
 }
 
+/// Two staggered 100 MHz TDD cells for 200 slots each (100 ms), with
+/// the pool tests' WCET predictions (expected cost × 1.3).
+fn slot_stream() -> Vec<ScheduledDag> {
+    let cell = CellConfig::tdd_100mhz();
+    let cost = CostModel::new();
+    let mut rng = Rng::new(21);
+    let slot = cell.slot_duration();
+    let mut stream = Vec::new();
+    for s in 0..200u64 {
+        for c in 0..2u32 {
+            let arrival = Nanos(s * slot.as_nanos() + c as u64 * slot.as_nanos() / 2);
+            for &dir in cell.duplex.directions(s) {
+                let wl = random_workload(&cell, dir, &mut rng);
+                let dag = build_dag(&cell, c, s, arrival, &wl);
+                let node_wcet = dag
+                    .nodes
+                    .iter()
+                    .map(|n| cost.expected_cost(n.task.kind, &n.task.params).scale(1.3))
+                    .collect();
+                stream.push(ScheduledDag { dag, node_wcet });
+            }
+        }
+    }
+    stream
+}
+
+fn bench_pool_width(c: &mut Criterion) {
+    let stream = slot_stream();
+    let end = stream.last().map_or(Nanos::ZERO, |sd| sd.dag.deadline);
+    let mut group = c.benchmark_group("pool_width");
+    for cores in [8u32, 64, 208] {
+        // Reported per executed task: each routine call replays whole
+        // streams through fresh pools until `iters` tasks have run, then
+        // scales the time it measured to exactly `iters` tasks.
+        group.bench_with_input(BenchmarkId::from_parameter(cores), &cores, |b, &cores| {
+            b.iter_custom(|iters| {
+                let mut elapsed = Duration::ZERO;
+                let mut tasks = 0u64;
+                while tasks < iters {
+                    let dags = stream.clone();
+                    let mut pool = VranPool::new(
+                        PoolConfig {
+                            cores,
+                            ..PoolConfig::default()
+                        },
+                        CostModel::new(),
+                        Box::new(ConcordiaScheduler::default_paper()),
+                        7,
+                    );
+                    let start = Instant::now();
+                    for sd in dags {
+                        pool.run_until(sd.dag.arrival);
+                        pool.inject_dag(sd);
+                    }
+                    pool.run_until(end);
+                    elapsed += start.elapsed();
+                    assert_eq!(
+                        pool.active_dags(),
+                        0,
+                        "stream must drain by its last deadline"
+                    );
+                    tasks += pool.metrics().tasks_executed;
+                }
+                elapsed.mul_f64(iters as f64 / tasks as f64)
+            })
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_scheduler_tick,
@@ -337,6 +413,7 @@ criterion_group!(
     bench_dag_build,
     bench_cost_sample,
     bench_event_queue,
-    bench_training
+    bench_training,
+    bench_pool_width
 );
 criterion_main!(benches);

@@ -31,6 +31,10 @@ use concordia_ran::time::Nanos;
 use concordia_stats::rng::Rng;
 use std::sync::Arc;
 
+mod cores;
+
+use cores::{CoreState, Cores};
+
 /// A DAG released to the pool together with its per-node WCET predictions
 /// (what the Concordia predictor computed at the slot boundary; baselines
 /// that ignore predictions pass zeros).
@@ -86,41 +90,6 @@ impl Default for PoolConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum CoreState {
-    /// Yielded to the OS / best-effort workloads.
-    Released,
-    /// Signalled; the wake event is in flight.
-    Waking,
-    /// Granted and polling the queue (busy-wait).
-    Spinning,
-    /// Executing a task.
-    Busy { dag: u32, node: u32 },
-}
-
-#[derive(Debug, Clone)]
-struct Core {
-    state: CoreState,
-    /// Bumped on every state-machine reset so in-flight events for the old
-    /// incarnation are ignored.
-    epoch: u64,
-    /// When the vRAN acquired this core (cache-warmth reference; valid
-    /// unless Released).
-    held_since: Nanos,
-    /// Last time this core's occupancy was flushed into the metrics.
-    acct_since: Nanos,
-    /// Release as soon as the current task finishes.
-    release_pending: bool,
-    /// Taken offline by fault injection: cannot be granted until the fault
-    /// window clears.
-    faulted: bool,
-    /// Retired by a runtime pool shrink: permanently out of service (never
-    /// granted, never counted in capacity) until a later grow revives the
-    /// slot. Kept in place so core indices — and with them per-core
-    /// accounting, epochs and trace tracks — stay stable.
-    retired: bool,
-}
-
 #[derive(Debug)]
 enum Event {
     /// Scheduler re-evaluation.
@@ -152,6 +121,9 @@ struct ActiveDag {
     /// Longest predicted path from each node to a sink, including the node.
     tail: Vec<Nanos>,
     remaining_work: Nanos,
+    /// Longest predicted path through the unfinished nodes: the largest
+    /// `tail` among them. Kept current by `complete_node`.
+    remaining_critical_path: Nanos,
     /// Nodes pinned to the CPU path after an offload fell back (engine
     /// absent, failed, or past its timeout budget).
     cpu_only: Vec<bool>,
@@ -187,7 +159,8 @@ pub struct VranPool {
 
     now: Nanos,
     events: CalendarQueue<Event>,
-    cores: Vec<Core>,
+    /// The worker cores, with their counts and idle set kept current.
+    cores: Cores,
     /// The pluggable ready structure (queue discipline + placement).
     arch: Box<dyn PoolArchitecture>,
     ready_seq: u64,
@@ -263,6 +236,10 @@ pub struct VranPool {
     /// Last reallocation target recorded into the trace, so the tick-driven
     /// scheduler stream only records *decisions* (changes), not every poll.
     last_traced_target: Option<u32>,
+    /// Debug builds: offloads submitted to an FPGA engine whose `FpgaDone`
+    /// has not fired yet (a term of the conservation check).
+    #[cfg(debug_assertions)]
+    offloads_in_flight: usize,
 }
 
 impl VranPool {
@@ -280,17 +257,6 @@ impl VranPool {
         if let Some(rot) = cfg.rotation {
             events.push(rot, Event::Rotate);
         }
-        let cores = (0..cfg.cores)
-            .map(|_| Core {
-                state: CoreState::Spinning,
-                epoch: 0,
-                held_since: Nanos::ZERO,
-                acct_since: Nanos::ZERO,
-                release_pending: false,
-                faulted: false,
-                retired: false,
-            })
-            .collect();
         let mut arch = cfg.arch.build(root.fork(3));
         arch.set_in_service(&vec![true; cfg.cores as usize]);
         VranPool {
@@ -302,7 +268,7 @@ impl VranPool {
             fpga: None,
             now: Nanos::ZERO,
             events,
-            cores,
+            cores: Cores::new(cfg.cores),
             arch,
             ready_seq: 0,
             queue_nonempty_since: None,
@@ -336,6 +302,8 @@ impl VranPool {
             parked_fpga: None,
             trace: None,
             last_traced_target: None,
+            #[cfg(debug_assertions)]
+            offloads_in_flight: 0,
         }
     }
 
@@ -427,16 +395,13 @@ impl VranPool {
     /// already outside the capacity, so a core that is both faulted and
     /// retired is not counted twice against the pool.
     pub fn offline_cores(&self) -> u32 {
-        self.cores
-            .iter()
-            .filter(|c| c.faulted && !c.retired)
-            .count() as u32
+        self.cores.offline()
     }
 
     /// Worker cores currently in service (not retired by a runtime shrink).
     /// Equals the configured core count until the first [`Self::shrink_pool`].
     pub fn capacity(&self) -> u32 {
-        self.cores.iter().filter(|c| !c.retired).count() as u32
+        self.cores.capacity()
     }
 
     /// Runtime reconfiguration: adds `n` worker cores. Retired non-faulted
@@ -446,25 +411,17 @@ impl VranPool {
     pub fn grow_pool(&mut self, n: u32) -> u32 {
         let now = self.now;
         let mut left = n;
-        for c in self.cores.iter_mut() {
+        for i in 0..self.cores.len() {
             if left == 0 {
                 break;
             }
-            if c.retired && !c.faulted {
-                c.retired = false;
+            if self.cores[i].retired() && !self.cores[i].faulted() {
+                self.cores.revive(i);
                 left -= 1;
             }
         }
         for _ in 0..left {
-            self.cores.push(Core {
-                state: CoreState::Released,
-                epoch: 0,
-                held_since: now,
-                acct_since: now,
-                release_pending: false,
-                faulted: false,
-                retired: false,
-            });
+            self.cores.push_released(now);
         }
         let capacity = self.capacity();
         self.trace_event(TraceEvent::PoolResize {
@@ -493,21 +450,21 @@ impl VranPool {
             if retired == max {
                 break;
             }
-            if self.cores[i].retired {
+            if self.cores[i].retired() {
                 continue;
             }
-            match self.cores[i].state {
+            match self.cores[i].state() {
                 // Already out of service (idle or fault-lost): no release
                 // to perform, just mark the slot retired.
                 CoreState::Released => {}
                 CoreState::Busy { .. } => {
-                    self.cores[i].release_pending = true;
+                    self.cores.set_release_pending(i, true);
                 }
                 CoreState::Spinning | CoreState::Waking => {
                     self.release_core(i as u32);
                 }
             }
-            self.cores[i].retired = true;
+            self.cores.retire(i);
             retired += 1;
         }
         if retired > 0 {
@@ -556,10 +513,7 @@ impl VranPool {
 
     /// Cores currently held by the vRAN (not released).
     pub fn granted_cores(&self) -> u32 {
-        self.cores
-            .iter()
-            .filter(|c| c.state != CoreState::Released)
-            .count() as u32
+        self.cores.granted()
     }
 
     /// Number of incomplete DAGs.
@@ -604,6 +558,7 @@ impl VranPool {
                 .fold(Nanos::ZERO, Nanos::max);
             aux.tail[i] = sched.node_wcet[i] + succ_max;
         }
+        let remaining_critical_path = aux.tail.iter().copied().fold(Nanos::ZERO, Nanos::max);
         let remaining_work = sched.node_wcet.iter().fold(Nanos::ZERO, |a, &b| a + b);
         aux.pred_left.clear();
         aux.pred_left
@@ -626,6 +581,7 @@ impl VranPool {
             remaining: n,
             tail,
             remaining_work,
+            remaining_critical_path,
             cpu_only,
         };
         // Collect the source nodes *before* the DAG moves into its slot:
@@ -657,6 +613,8 @@ impl VranPool {
         // to the scheduler at the beginning of each TTI slot).
         self.reallocate();
         self.dispatch();
+        #[cfg(debug_assertions)]
+        self.check_invariants();
     }
 
     /// Runs the simulation until `t_end` (inclusive of events at `t_end`).
@@ -669,6 +627,8 @@ impl VranPool {
             self.handle(ev);
         }
         self.now = self.now.max(t_end);
+        #[cfg(debug_assertions)]
+        self.check_invariants();
     }
 
     // ---- internals ----
@@ -708,7 +668,7 @@ impl VranPool {
     fn refresh_arch_cores(&mut self) {
         let mut mask = std::mem::take(&mut self.in_service_scratch);
         mask.clear();
-        mask.extend(self.cores.iter().map(|c| !c.faulted && !c.retired));
+        mask.extend(self.cores.iter().map(|c| !c.faulted() && !c.retired()));
         self.arch.set_in_service(&mask);
         self.in_service_scratch = mask;
     }
@@ -742,11 +702,11 @@ impl VranPool {
                 }
             }
             Event::Wake { core, epoch } => {
-                let c = &mut self.cores[core as usize];
-                if c.epoch != epoch || c.state != CoreState::Waking {
+                let c = &self.cores[core as usize];
+                if c.epoch() != epoch || c.state() != CoreState::Waking {
                     return; // stale wake for a previous incarnation
                 }
-                c.state = CoreState::Spinning;
+                self.cores.wake_done(core as usize);
                 self.dispatch();
             }
             Event::TaskFinish {
@@ -756,13 +716,13 @@ impl VranPool {
                 offload_submit,
             } => {
                 let c = &self.cores[core as usize];
-                if c.epoch != epoch {
+                if c.epoch() != epoch {
                     // The core was reset mid-task (taken offline by a
                     // fault); the task was requeued then, so this finish
                     // belongs to an abandoned incarnation.
                     return;
                 }
-                let (dag, node) = match c.state {
+                let (dag, node) = match c.state() {
                     CoreState::Busy { dag, node } => (dag, node),
                     _ => unreachable!("TaskFinish on a non-busy core"),
                 };
@@ -788,6 +748,10 @@ impl VranPool {
                 self.dispatch();
             }
             Event::FpgaDone { dag, node } => {
+                #[cfg(debug_assertions)]
+                {
+                    self.offloads_in_flight -= 1;
+                }
                 let cell = self.cell_of(dag);
                 self.trace_event(TraceEvent::OffloadDone { cell, dag, node });
                 // No worker context here: a locally-kept successor would
@@ -859,6 +823,10 @@ impl VranPool {
                 let done_at = engines[cell].submit(self.now, kind, n_cbs);
                 debug_assert_eq!(done_at, projected);
                 self.events.push(done_at, Event::FpgaDone { dag, node });
+                #[cfg(debug_assertions)]
+                {
+                    self.offloads_in_flight += 1;
+                }
                 self.after_worker_free(core, None);
                 return;
             }
@@ -921,7 +889,7 @@ impl VranPool {
     fn take_cores_offline(&mut self, window: usize, severity: f64) {
         let total = self.capacity() as usize;
         let online: Vec<u32> = (0..self.cores.len())
-            .filter(|&i| !self.cores[i].faulted && !self.cores[i].retired)
+            .filter(|&i| !self.cores[i].faulted() && !self.cores[i].retired())
             .map(|i| i as u32)
             .collect();
         let want = ((severity * total as f64).ceil() as usize).max(1);
@@ -936,7 +904,7 @@ impl VranPool {
     /// window clears.
     fn fail_core(&mut self, core: u32, window: usize) {
         let now = self.now;
-        if let CoreState::Busy { dag, node } = self.cores[core as usize].state {
+        if let CoreState::Busy { dag, node } = self.cores[core as usize].state() {
             self.running_tasks -= 1;
             self.metrics.tasks_requeued += 1;
             let cell = self.cell_of(dag);
@@ -952,14 +920,7 @@ impl VranPool {
             }
         }
         self.trace_event(TraceEvent::CoreFail { core });
-        let c = &mut self.cores[core as usize];
-        let span = now.saturating_sub(c.acct_since);
-        let was_released = c.state == CoreState::Released;
-        c.acct_since = now;
-        c.epoch += 1; // invalidates in-flight Wake / TaskFinish events
-        c.state = CoreState::Released;
-        c.release_pending = false;
-        c.faulted = true;
+        let (span, was_released) = self.cores.fail(core as usize, now);
         if was_released {
             self.metrics.besteffort_core_time += span;
         } else {
@@ -973,11 +934,7 @@ impl VranPool {
     /// A faulted core comes back: its offline span is accounted and it
     /// rejoins the pool as released (the scheduler wakes it on demand).
     fn restore_core(&mut self, core: u32) {
-        let now = self.now;
-        let c = &mut self.cores[core as usize];
-        let span = now.saturating_sub(c.acct_since);
-        c.acct_since = now;
-        c.faulted = false;
+        let span = self.cores.restore(core as usize, self.now);
         self.metrics.offline_core_time += span;
         self.trace_event(TraceEvent::CoreRestore { core });
         self.refresh_arch_cores();
@@ -1004,6 +961,12 @@ impl VranPool {
             d.remaining_work = d
                 .remaining_work
                 .saturating_sub(d.sched.node_wcet[node as usize]);
+            // A node whose tail fell short of the stored maximum leaves
+            // another undone node at it; only a node at the maximum can
+            // lower it, so only then is there anything to rescan.
+            if d.tail[node as usize] == d.remaining_critical_path {
+                d.remaining_critical_path = critical_path_left(&d.tail, &d.done);
+            }
             deadline = d.sched.dag.deadline;
             // Disjoint field borrows let the successor list be walked in
             // place instead of cloned once per completed task.
@@ -1104,7 +1067,7 @@ impl VranPool {
                     d.sched.dag.deadline,
                 )
             }) {
-                if !self.cores[core as usize].release_pending
+                if !self.cores[core as usize].release_pending()
                     && self.arch.keeps_local(core, cell, kind)
                 {
                     self.start_task(core, dag, node);
@@ -1117,14 +1080,14 @@ impl VranPool {
         }
         // The worker is done with its task either way; leave `Busy` before
         // a deferred release so `release_core`'s invariant holds.
-        self.cores[core as usize].state = CoreState::Spinning;
-        if self.cores[core as usize].release_pending {
+        self.cores.finish(core as usize);
+        if self.cores[core as usize].release_pending() {
             self.release_core(core);
         }
     }
 
     fn start_task(&mut self, core: u32, dag: u32, node: u32) {
-        let pool_cores = self.effective_granted();
+        let pool_cores = self.cores.effective();
         let Some((cell, kind, mut params, cpu_only)) = self.dags[dag as usize].as_ref().map(|d| {
             let t = &d.sched.dag.nodes[node as usize].task;
             (
@@ -1135,14 +1098,14 @@ impl VranPool {
             )
         }) else {
             debug_assert!(false, "ready task for a freed dag slot");
-            self.cores[core as usize].state = CoreState::Spinning;
+            self.cores.finish(core as usize);
             return;
         };
         params.pool_cores = pool_cores.max(1);
 
         let warm = self
             .now
-            .saturating_sub(self.cores[core as usize].held_since)
+            .saturating_sub(self.cores[core as usize].held_since())
             >= WARMUP;
         // Nodes that fell back after an offload failure stay on the CPU
         // path; everything else offloads when an engine is present.
@@ -1197,14 +1160,13 @@ impl VranPool {
             runtime,
             offload,
         });
-        let c = &mut self.cores[core as usize];
-        c.state = CoreState::Busy { dag, node };
+        self.cores.start(core as usize, dag, node);
         self.running_tasks += 1;
         self.events.push(
             self.now + runtime,
             Event::TaskFinish {
                 core,
-                epoch: c.epoch,
+                epoch: self.cores[core as usize].epoch(),
                 runtime,
                 offload_submit: offload,
             },
@@ -1213,15 +1175,17 @@ impl VranPool {
 
     /// Assigns ready tasks to spinning cores through the architecture.
     ///
-    /// Each pass scans the spinning cores in index order and offers each
-    /// one to the architecture; a successful pop dispatches and restarts
-    /// the scan (dispatching can change core states), a refusal moves on
-    /// to the next spinning core (decentralized placements may have work
-    /// for a later core only). The loop ends when a full pass dispatches
-    /// nothing. For the centralized EDF architecture `pop_for` refuses
-    /// only when the queue is empty, so the scan degenerates to exactly
-    /// the pre-refactor loop: first spinning core, global pop, repeat —
-    /// byte-identical behavior.
+    /// Each pass walks the idle set (spinning cores without a pending
+    /// release) in index order and offers each core to the architecture;
+    /// a successful pop dispatches and restarts the walk from core 0
+    /// (dispatching can change core states), a refusal moves on to the
+    /// next idle core (decentralized placements may have work for a later
+    /// core only). The loop ends when a full pass dispatches nothing. The
+    /// order of the `pop_for` calls, restarts included, is part of every
+    /// report's bytes: work stealing draws its victims from an RNG, and
+    /// dFCFS and the pipeline refuse some cores. For the centralized EDF
+    /// architecture `pop_for` refuses only when the queue is empty, so the
+    /// walk degenerates to: first idle core, global pop, repeat.
     fn dispatch(&mut self) {
         if self.arch.is_empty() {
             // Behavior-identical early exit: with an empty ready queue the
@@ -1231,11 +1195,8 @@ impl VranPool {
             return;
         }
         'pass: loop {
-            for i in 0..self.cores.len() {
-                let c = &self.cores[i];
-                if c.state != CoreState::Spinning || c.release_pending {
-                    continue;
-                }
+            let mut from = 0;
+            while let Some(i) = self.cores.next_idle(from) {
                 let Some(task) = self.arch.pop_for(i as u32) else {
                     if self.arch.is_empty() {
                         // Nothing queued anywhere: no later core can be
@@ -1243,7 +1204,9 @@ impl VranPool {
                         self.queue_nonempty_since = None;
                         return;
                     }
-                    continue; // this core's share is empty; try the next
+                    // This core's share is empty; try the next.
+                    from = i + 1;
+                    continue;
                 };
                 if self.arch.is_empty() {
                     self.queue_nonempty_since = None;
@@ -1260,37 +1223,20 @@ impl VranPool {
         }
     }
 
-    /// Cores held and not scheduled for release.
-    fn effective_granted(&self) -> u32 {
-        self.cores
-            .iter()
-            .filter(|c| c.state != CoreState::Released && !c.release_pending)
-            .count() as u32
-    }
-
     fn update_utilization(&mut self) {
-        let granted = self.effective_granted().max(1);
+        let granted = self.cores.effective().max(1);
         let inst = self.running_tasks as f64 / granted as f64;
         self.utilization_ema =
             UTILIZATION_ALPHA * inst + (1.0 - UTILIZATION_ALPHA) * self.utilization_ema;
     }
 
     fn fill_progress(&self, out: &mut Vec<DagProgress>) {
-        out.extend(self.dags.iter().flatten().map(|d| {
-            let remaining_cp = d
-                .tail
-                .iter()
-                .zip(&d.done)
-                .filter(|(_, &done)| !done)
-                .map(|(&t, _)| t)
-                .fold(Nanos::ZERO, Nanos::max);
-            DagProgress {
-                cell: d.sched.dag.cell_id,
-                arrival: d.sched.dag.arrival,
-                deadline: d.sched.dag.deadline,
-                remaining_work: d.remaining_work,
-                remaining_critical_path: remaining_cp,
-            }
+        out.extend(self.dags.iter().flatten().map(|d| DagProgress {
+            cell: d.sched.dag.cell_id,
+            arrival: d.sched.dag.arrival,
+            deadline: d.sched.dag.deadline,
+            remaining_work: d.remaining_work,
+            remaining_critical_path: d.remaining_critical_path,
         }));
     }
 
@@ -1336,64 +1282,49 @@ impl VranPool {
     }
 
     fn apply_target(&mut self, target: u32) {
-        let mut effective = self.effective_granted();
-
+        // Each step below moves `effective` by exactly one.
+        //
         // Grow: first cancel pending releases, then wake released cores.
         // Retired cores are out of service: their deferred releases stay
         // deferred and they are never woken.
-        while effective < target {
-            if let Some(i) = self
-                .cores
-                .iter()
-                .position(|c| c.release_pending && c.state != CoreState::Released && !c.retired)
-            {
-                self.cores[i].release_pending = false;
-                effective += 1;
+        while self.cores.effective() < target {
+            if let Some(i) = self.cores.iter().position(|c| {
+                c.release_pending() && c.state() != CoreState::Released && !c.retired()
+            }) {
+                self.cores.set_release_pending(i, false);
                 continue;
             }
             match self
                 .cores
                 .iter()
-                .position(|c| c.state == CoreState::Released && !c.faulted && !c.retired)
+                .position(|c| c.state() == CoreState::Released && !c.faulted() && !c.retired())
             {
-                Some(i) => {
-                    self.wake_core(i as u32);
-                    effective += 1;
-                }
+                Some(i) => self.wake_core(i as u32),
                 None => break,
             }
         }
 
         // Shrink: spinning first (instant), then waking (cancel), then busy
         // (deferred until task completion).
-        while effective > target {
-            if let Some(i) = self
-                .cores
-                .iter()
-                .position(|c| c.state == CoreState::Spinning && !c.release_pending)
-            {
+        while self.cores.effective() > target {
+            if let Some(i) = self.cores.next_idle(0) {
                 self.release_core(i as u32);
-                effective -= 1;
                 continue;
             }
             if let Some(i) = self
                 .cores
                 .iter()
-                .position(|c| c.state == CoreState::Waking && !c.release_pending)
+                .position(|c| c.state() == CoreState::Waking && !c.release_pending())
             {
                 self.release_core(i as u32);
-                effective -= 1;
                 continue;
             }
             match self
                 .cores
                 .iter()
-                .position(|c| matches!(c.state, CoreState::Busy { .. }) && !c.release_pending)
+                .position(|c| matches!(c.state(), CoreState::Busy { .. }) && !c.release_pending())
             {
-                Some(i) => {
-                    self.cores[i].release_pending = true;
-                    effective -= 1;
-                }
+                Some(i) => self.cores.set_release_pending(i, true),
                 None => break,
             }
         }
@@ -1450,31 +1381,14 @@ impl VranPool {
         self.metrics.evictions += 1;
         self.trace_event(TraceEvent::CoreWake { core, latency });
         let now = self.now;
-        let c = &mut self.cores[core as usize];
-        debug_assert_eq!(c.state, CoreState::Released);
-        debug_assert!(!c.faulted, "faulted cores are never woken");
-        debug_assert!(!c.retired, "retired cores are never woken");
-        self.metrics.besteffort_core_time += now.saturating_sub(c.acct_since);
-        c.acct_since = now;
-        c.epoch += 1;
-        c.state = CoreState::Waking;
-        c.held_since = now;
-        c.release_pending = false;
-        let epoch = c.epoch;
+        self.metrics.besteffort_core_time += self.cores.wake(core as usize, now);
+        let epoch = self.cores[core as usize].epoch();
         self.events.push(now + latency, Event::Wake { core, epoch });
     }
 
     fn release_core(&mut self, core: u32) {
         self.trace_event(TraceEvent::CoreRelease { core });
-        let now = self.now;
-        let c = &mut self.cores[core as usize];
-        debug_assert!(c.state != CoreState::Released);
-        debug_assert!(!matches!(c.state, CoreState::Busy { .. }));
-        self.metrics.vran_core_time += now.saturating_sub(c.acct_since);
-        c.acct_since = now;
-        c.epoch += 1; // invalidates any in-flight Wake
-        c.state = CoreState::Released;
-        c.release_pending = false;
+        self.metrics.vran_core_time += self.cores.release(core as usize, self.now);
     }
 
     /// Flushes the in-progress occupancy of every core into the metrics.
@@ -1482,37 +1396,77 @@ impl VranPool {
     /// otherwise time spent in the *current* (unterminated) released or
     /// held interval is invisible.
     pub fn flush_accounting(&mut self) {
-        let now = self.now;
-        for c in &mut self.cores {
-            let span = now.saturating_sub(c.acct_since);
-            c.acct_since = now;
-            if c.faulted {
-                self.metrics.offline_core_time += span;
-            } else if c.state == CoreState::Released {
-                self.metrics.besteffort_core_time += span;
-            } else {
-                self.metrics.vran_core_time += span;
-            }
-        }
+        let occ = self.cores.flush(self.now);
+        self.metrics.offline_core_time += occ.offline;
+        self.metrics.besteffort_core_time += occ.besteffort;
+        self.metrics.vran_core_time += occ.vran;
     }
 
     /// §5: "the scheduler changes the order of cores that are used for vRAN
     /// pools every 2 ms to avoid constantly using the same cores", so
     /// unmigratable kernel work gets CPU time on every physical core.
     fn rotate_cores(&mut self) {
-        let spinning = self
-            .cores
-            .iter()
-            .position(|c| c.state == CoreState::Spinning && !c.release_pending);
+        let spinning = self.cores.next_idle(0);
         let released = self
             .cores
             .iter()
-            .position(|c| c.state == CoreState::Released && !c.faulted && !c.retired);
+            .position(|c| c.state() == CoreState::Released && !c.faulted() && !c.retired());
         if let (Some(s), Some(r)) = (spinning, released) {
             self.release_core(s as u32);
             self.wake_core(r as u32);
         }
     }
+
+    /// Debug builds: checks the cached pool state against the scans it
+    /// replaced, at the quiescent end of `run_until` and `inject_dag`.
+    /// * The core counts and the idle set equal a recount over the cores.
+    /// * Each active DAG's remaining critical path equals a rescan.
+    /// * The ready, undone nodes of the active DAGs are exactly the queued
+    ///   tasks, the tasks on cores and the offloads in flight.
+    /// * Every cell's injected DAGs are completed or still active.
+    #[cfg(debug_assertions)]
+    fn check_invariants(&self) {
+        self.cores.check();
+        let mut ready = 0;
+        for d in self.dags.iter().flatten() {
+            assert_eq!(
+                d.remaining_critical_path,
+                critical_path_left(&d.tail, &d.done),
+                "stale remaining critical path"
+            );
+            ready += (0..d.done.len())
+                .filter(|&i| !d.done[i] && d.pred_left[i] == 0)
+                .count();
+        }
+        let on_cores = self
+            .cores
+            .iter()
+            .filter(|c| matches!(c.state(), CoreState::Busy { .. }))
+            .count();
+        assert_eq!(on_cores, self.running_tasks, "running-task count");
+        assert_eq!(
+            ready,
+            self.arch.len() + on_cores + self.offloads_in_flight,
+            "ready nodes = queued + running + offloaded"
+        );
+        for (cell, ledger) in self.metrics.per_cell.iter().enumerate() {
+            let active = self.active_dags_for_cell(cell as u32) as u64;
+            assert_eq!(
+                ledger.injected,
+                ledger.completed + active,
+                "cell {cell}: injected = completed + active"
+            );
+        }
+    }
+}
+
+/// Longest predicted path through a DAG's unfinished nodes: the largest
+/// tail among them (zero once every node is done).
+fn critical_path_left(tail: &[Nanos], done: &[bool]) -> Nanos {
+    tail.iter()
+        .zip(done)
+        .filter(|&(_, &done)| !done)
+        .fold(Nanos::ZERO, |cp, (&t, _)| cp.max(t))
 }
 
 #[cfg(test)]
@@ -1524,6 +1478,11 @@ mod tests {
     use concordia_ran::numerology::SlotDirection;
 
     fn test_dag(arrival: Nanos, ue_bytes: u32, n_ues: usize) -> ScheduledDag {
+        cell_dag(0, arrival, ue_bytes, n_ues)
+    }
+
+    /// An uplink 100 MHz slot DAG of cell `cell_id` with `n_ues` equal UEs.
+    fn cell_dag(cell_id: u32, arrival: Nanos, ue_bytes: u32, n_ues: usize) -> ScheduledDag {
         let cell = CellConfig::tdd_100mhz();
         let wl = SlotWorkload {
             direction: SlotDirection::Uplink,
@@ -1537,7 +1496,7 @@ mod tests {
                 })
                 .collect(),
         };
-        let dag = build_dag(&cell, 0, 0, arrival, &wl);
+        let dag = build_dag(&cell, cell_id, 0, arrival, &wl);
         let cost = CostModel::new();
         let node_wcet = dag
             .nodes
@@ -2129,5 +2088,149 @@ mod tests {
         let taken = pool.take_trace().unwrap();
         assert!(!taken.is_empty());
         assert!(!pool.trace_enabled());
+    }
+
+    /// Random sequences of every pool transition — injections, runs, grow,
+    /// shrink, core-offline, core-stall and accelerator-outage windows,
+    /// pressure changes, rotation and FPGA offload — on every
+    /// architecture, at widths on both sides of the idle set's 64-core
+    /// word boundary. In debug builds every `inject_dag` and `run_until`
+    /// checks the cached core counts, idle set and critical paths against
+    /// a rescan, and checks work conservation; after the drain every
+    /// injected DAG of every cell must be complete.
+    mod transitions {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// A scheduler whose target moves on every call, so cores are
+        /// woken, released, and released when their task finishes.
+        struct MovingTarget(u64);
+
+        impl PoolScheduler for MovingTarget {
+            fn target_cores(&mut self, v: &PoolView<'_>) -> u32 {
+                self.0 += 1;
+                let demand = (v.ready_tasks + v.running_tasks) as u32;
+                match self.0 % 6 {
+                    0 => 0,
+                    1 | 4 => v.total_cores,
+                    2 => demand.min(v.total_cores),
+                    3 => v.total_cores / 2,
+                    _ => v.granted_cores.saturating_sub(1),
+                }
+            }
+            fn tick(&self) -> Nanos {
+                Nanos::from_micros(20)
+            }
+            fn name(&self) -> &'static str {
+                "moving"
+            }
+        }
+
+        #[derive(Debug, Clone)]
+        enum Op {
+            Inject { cell: u32, ues: usize },
+            Run { micros: u64 },
+            Grow(u32),
+            Shrink(u32),
+            Pressure { cache: f64, kernel: f64 },
+        }
+
+        fn op() -> impl Strategy<Value = Op> {
+            (0u8..11, 0u32..4, 1u64..600, 0.0f64..3.0, 0.0f64..3.0).prop_map(
+                |(sel, cell, n, cache, kernel)| match sel {
+                    0..=3 => Op::Inject {
+                        cell,
+                        ues: 1 + (n % 3) as usize,
+                    },
+                    4..=7 => Op::Run { micros: n },
+                    8 => Op::Grow(1 + (n % 8) as u32),
+                    9 => Op::Shrink(1 + (n % 8) as u32),
+                    _ => Op::Pressure { cache, kernel },
+                },
+            )
+        }
+
+        fn window() -> impl Strategy<Value = FaultSpec> {
+            const KINDS: [FaultKind; 3] = [
+                FaultKind::CoreOffline,
+                FaultKind::CoreStall,
+                FaultKind::AccelOutage,
+            ];
+            (0usize..3, 0u64..4_000, 1u64..4_000, 0.1f64..1.0).prop_map(
+                |(kind, start, len, severity)| {
+                    FaultSpec::fixed(
+                        KINDS[kind],
+                        Nanos::from_micros(start),
+                        Nanos::from_micros(len),
+                        severity,
+                    )
+                },
+            )
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+            #[test]
+            fn every_transition_keeps_the_pool_consistent(
+                arch in (0usize..5).prop_map(|i| PoolArchChoice::ALL[i]),
+                width in 1u32..=80,
+                (rotation, fpga) in (0u8..2, 0u8..2).prop_map(|(r, f)| (r == 1, f == 1)),
+                windows in proptest::collection::vec(window(), 0..4),
+                ops in proptest::collection::vec(op(), 1..40),
+                seed in 0u64..u64::MAX,
+            ) {
+                let mut pool = VranPool::new(
+                    PoolConfig {
+                        cores: width,
+                        rotation: rotation.then(|| Nanos::from_millis(2)),
+                        arch,
+                        ..PoolConfig::default()
+                    },
+                    CostModel::new(),
+                    Box::new(MovingTarget(0)),
+                    seed,
+                );
+                if fpga {
+                    pool.enable_fpga(concordia_ran::accel::FpgaModel::default());
+                }
+                pool.set_fault_timeline(Arc::new(FaultPlan { specs: windows }.resolve(seed)));
+                let mut injected = [0u64; 4];
+                for op in ops {
+                    match op {
+                        Op::Inject { cell, ues } => {
+                            pool.inject_dag(cell_dag(cell, pool.now(), 4_000, ues));
+                            injected[cell as usize] += 1;
+                        }
+                        Op::Run { micros } => pool.run_until(pool.now() + Nanos::from_micros(micros)),
+                        Op::Grow(n) => {
+                            let before = pool.capacity();
+                            prop_assert_eq!(pool.grow_pool(n), before + n);
+                        }
+                        Op::Shrink(n) => {
+                            let before = pool.capacity();
+                            let retired = pool.shrink_pool(n);
+                            prop_assert_eq!(pool.capacity(), before - retired);
+                            prop_assert!(pool.capacity() >= 1);
+                        }
+                        Op::Pressure { cache, kernel } => pool.set_pressure(cache, kernel),
+                    }
+                    prop_assert!(pool.granted_cores() <= pool.cores.len() as u32);
+                    prop_assert!(pool.offline_cores() <= pool.capacity());
+                }
+                // Drain: the moving target grants every core on two of
+                // every six ticks, so all work completes eventually.
+                let mut drained = 0;
+                while pool.active_dags() > 0 && drained < 400 {
+                    pool.run_until(pool.now() + Nanos::from_millis(5));
+                    drained += 1;
+                }
+                prop_assert!(pool.active_dags() == 0, "work stranded on {}", arch.name());
+                for (cell, &n) in injected.iter().enumerate() {
+                    let ledger = pool.metrics().per_cell.get(cell).copied().unwrap_or_default();
+                    prop_assert_eq!(ledger.injected, n);
+                    prop_assert!(ledger.completed == n, "cell {} lost work", cell);
+                }
+            }
+        }
     }
 }
