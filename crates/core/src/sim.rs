@@ -379,6 +379,44 @@ impl Simulation {
         }
     }
 
+    /// An interval that contains [`Simulation::predict_us`], from the
+    /// serving model's `WcetPredictor::predict_bounds`. The bank path
+    /// rounds both ends to whole nanoseconds, as `ModelBank::predict`
+    /// rounds the prediction; that rounding is monotone.
+    fn predict_bounds(&self, kind: TaskKind, x: &FeatureVec) -> Option<(f64, f64)> {
+        match &self.supervisor {
+            Some(sup) => sup.predict_bounds(kind.index(), x),
+            None => self.bank.get(kind).map(|m| {
+                let (lo, hi) = m.predict_bounds(x);
+                let ns = |us| Nanos::from_micros_f64(us).as_micros_f64();
+                (ns(lo), ns(hi))
+            }),
+        }
+    }
+
+    /// The misprediction guard's test for one observation: did the
+    /// runtime exceed the serving prediction over `bias`? `None` where no
+    /// model covers the kind. Rounded division by a positive `bias` is
+    /// monotone, so a runtime outside [`Simulation::predict_bounds`]
+    /// decides the test; only one inside it needs the exact prediction,
+    /// which for a linear fallback costs a scan of its residuals.
+    fn underestimated(
+        &self,
+        kind: TaskKind,
+        x: &FeatureVec,
+        runtime_us: f64,
+        bias: f64,
+    ) -> Option<bool> {
+        let (lo, hi) = self.predict_bounds(kind, x)?;
+        let exact = || self.predict_us(kind, x).map(|p| runtime_us > p / bias);
+        let above = runtime_us > hi / bias;
+        if bias > 0.0 && (above || runtime_us <= lo / bias) {
+            debug_assert_eq!(Some(above), exact(), "interval decision for {kind:?}");
+            return Some(above);
+        }
+        exact()
+    }
+
     /// The WCET budget of a task dispatched on a pool of `granted` cores:
     /// the serving prediction, or 1.5× the expected cost where no model
     /// covers the kind, scaled by `wcet_factor` (the cell's guard
@@ -533,9 +571,12 @@ impl Simulation {
                         .unwrap_or(0.0);
                 let drained = self.pool.drain_observations();
                 for obs in &drained {
-                    if let Some(pred) = self.predict_us(obs.kind, &obs.features) {
-                        if let Some(guard) = self.guards.get_mut(obs.cell as usize) {
-                            guard.observe(pred / bias, obs.runtime_us);
+                    let cell = obs.cell as usize;
+                    if cell < self.guards.len() {
+                        if let Some(under) =
+                            self.underestimated(obs.kind, &obs.features, obs.runtime_us, bias)
+                        {
+                            self.guards[cell].observe_outcome(under);
                         }
                     }
                     match self.supervisor.as_mut() {

@@ -14,27 +14,29 @@
 //! and review the JSON diff like any other code change.
 
 use concordia_core::{
-    BatchEval, Colocation, InvariantConfig, ParallelEval, PredictorChoice, ReconfigPlan,
-    ReconfigStep, ScenarioSpec, SchedulerChoice, SimConfig,
+    BatchEval, Colocation, ExperimentReport, InvariantConfig, ParallelEval, PredictorChoice,
+    ReconfigPlan, ReconfigStep, ScenarioSpec, SchedulerChoice, SimConfig,
 };
 use concordia_platform::arch::PoolArchChoice;
-use concordia_platform::faults::{FaultKind, FaultPlan};
+use concordia_platform::faults::{FaultKind, FaultPlan, FaultSpec};
 use concordia_platform::workloads::WorkloadKind;
 use concordia_ran::time::Nanos;
+use concordia_sched::SupervisorConfig;
 use std::path::PathBuf;
 
 fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
 }
 
-fn check(name: &str, cfg: SimConfig) {
-    let got = concordia_core::run_experiment(cfg).to_canonical_json();
+fn check(name: &str, cfg: SimConfig) -> ExperimentReport {
+    let report = concordia_core::run_experiment(cfg);
+    let got = report.to_canonical_json();
     let path = golden_dir().join(format!("{name}.json"));
     if std::env::var_os("GOLDEN_BLESS").is_some() {
         std::fs::create_dir_all(golden_dir()).expect("create golden dir");
         std::fs::write(&path, &got).expect("write golden");
         eprintln!("blessed {}", path.display());
-        return;
+        return report;
     }
     let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
         panic!(
@@ -52,6 +54,7 @@ fn check(name: &str, cfg: SimConfig) {
         got.len(),
         want.len()
     );
+    report
 }
 
 fn base(cells: u32, seed: u64) -> SimConfig {
@@ -181,6 +184,44 @@ fn golden_reconfig_swap_predictor_rollback() {
     let serial = runs(1);
     assert!(serial == runs(4), "swap reports depend on the worker count");
     assert_eq!(serial[0], report.to_canonical_json());
+}
+
+/// The predictor control plane under drift: seven 20 MHz cells next to
+/// Redis, with a 0.9-severity drift window that opens after calibration.
+/// Pins the bytes of every serving state, including the inflated linear
+/// fallback that serves while a lane is Quarantined or in Shadow, so
+/// the run must quarantine, retrain and readmit at least once.
+#[test]
+fn golden_supervised_drift_redis() {
+    let mut cfg = SimConfig::paper_20mhz();
+    cfg.duration = Nanos::from_secs(2);
+    cfg.profiling_slots = 300;
+    cfg.load = 0.5;
+    cfg.seed = 11;
+    cfg.colocation = Colocation::Single(WorkloadKind::Redis);
+    cfg.faults = FaultPlan {
+        specs: vec![FaultSpec::fixed(
+            FaultKind::DriftInjection,
+            Nanos::from_millis(400),
+            Nanos::from_millis(1_100),
+            0.9,
+        )],
+    };
+    cfg.supervisor = Some(SupervisorConfig {
+        window_slots: 25,
+        calibration_windows: 2,
+        min_samples: 20,
+        consecutive_windows: 2,
+        retrain_min_samples: 200,
+        shadow_windows: 2,
+        ..SupervisorConfig::default()
+    });
+    let report = check("supervised_drift_redis", cfg);
+    let sup = report.supervisor.expect("supervised run reports");
+    assert!(
+        sup.quarantines >= 1 && sup.retrains >= 1 && sup.readmissions >= 1,
+        "the run must cover Quarantined and Shadow serving: {sup:?}"
+    );
 }
 
 /// One golden per library scenario, all on a staggered two-cell pool so

@@ -31,6 +31,15 @@ pub trait WcetPredictor: Send {
     /// Short model name for reports.
     fn name(&self) -> &'static str;
 
+    /// An interval `(lo, hi)` that contains `predict_us(x)`, for callers
+    /// that only compare a runtime against the prediction. Models whose
+    /// exact prediction is costly answer from cheaper state; the default
+    /// is the exact prediction at both ends.
+    fn predict_bounds(&self, x: &FeatureVec) -> (f64, f64) {
+        let p = self.predict_us(x);
+        (p, p)
+    }
+
     /// Predicted WCET as a duration.
     fn predict(&self, x: &FeatureVec) -> Nanos {
         Nanos::from_micros_f64(self.predict_us(x))
@@ -186,6 +195,11 @@ impl InflatedPredictor {
 impl WcetPredictor for InflatedPredictor {
     fn predict_us(&self, x: &FeatureVec) -> f64 {
         self.inner.predict_us(x) * self.factor
+    }
+    fn predict_bounds(&self, x: &FeatureVec) -> (f64, f64) {
+        // `factor` ≥ 1 and rounded multiplication is monotone.
+        let (lo, hi) = self.inner.predict_bounds(x);
+        (lo * self.factor, hi * self.factor)
     }
     fn observe(&mut self, x: &FeatureVec, runtime_us: f64) {
         self.inner.observe(x, runtime_us);

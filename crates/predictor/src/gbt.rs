@@ -10,13 +10,9 @@
 //! more pessimistic where it succeeds — which costs reclaimed CPU.
 
 use crate::api::{TrainingSample, WcetPredictor};
+use crate::residual::{ResidualBound, RESIDUAL_BUFFER};
 use crate::tree::{Presort, Tree, TreeConfig};
 use concordia_ran::features::FeatureVec;
-use concordia_stats::ring::MaxRingBuffer;
-use concordia_stats::summary::normal_quantile;
-
-/// Residual ring-buffer capacity for online adaptation.
-const RESIDUAL_BUFFER: usize = 5_000;
 
 /// Gradient-boosting hyperparameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -55,8 +51,8 @@ pub struct GradientBoosting {
     base: f64,
     stages: Vec<Stage>,
     learning_rate: f64,
-    confidence: f64,
-    residuals: MaxRingBuffer,
+    /// Recent residuals (actual − mean prediction) and their upper bound.
+    residuals: ResidualBound,
 }
 
 impl GradientBoosting {
@@ -98,8 +94,7 @@ impl GradientBoosting {
             base,
             stages,
             learning_rate: cfg.learning_rate,
-            confidence,
-            residuals: MaxRingBuffer::new(RESIDUAL_BUFFER),
+            residuals: ResidualBound::new(confidence),
         };
         let start = samples.len().saturating_sub(RESIDUAL_BUFFER);
         for s in &samples[start..] {
@@ -127,27 +122,15 @@ impl GradientBoosting {
     pub fn features(&self) -> &[usize] {
         &self.feats
     }
-
-    /// Gaussian prediction-interval bound: `mean + z(confidence) * sd` of
-    /// the recent residuals — the standard "prediction interval" recipe the
-    /// paper applies to its regression baselines (§6.4). A single global
-    /// interval under-covers the large-input regime when the noise is
-    /// multiplicative, which is exactly the Fig. 14 failure mode.
-    fn residual_bound(&self) -> f64 {
-        let xs = self.residuals.samples();
-        if xs.len() < 2 {
-            return 0.0;
-        }
-        let n = xs.len() as f64;
-        let mean = xs.iter().sum::<f64>() / n;
-        let var = xs.iter().map(|r| (r - mean) * (r - mean)).sum::<f64>() / (n - 1.0);
-        mean + normal_quantile(self.confidence) * var.sqrt()
-    }
 }
 
 impl WcetPredictor for GradientBoosting {
     fn predict_us(&self, x: &FeatureVec) -> f64 {
-        (self.mean_us(x) + self.residual_bound()).max(0.0)
+        self.residuals.predict(self.mean_us(x))
+    }
+
+    fn predict_bounds(&self, x: &FeatureVec) -> (f64, f64) {
+        self.residuals.predict_bounds(self.mean_us(x))
     }
 
     fn observe(&mut self, x: &FeatureVec, runtime_us: f64) {

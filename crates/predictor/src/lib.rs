@@ -11,6 +11,8 @@
 //!   backwards elimination + hand-picked union).
 //! * [`linreg`] — linear-regression baseline (§6.4).
 //! * [`gbt`] — gradient-boosting baseline (§6.4).
+//! * `residual` — the two baselines' online residual bound: exact and
+//!   memoized, with an O(1) enclosing interval.
 //! * [`evt`] — conventional single-value pWCET via Gumbel block maxima
 //!   (§6.3, [23]).
 //! * [`replay`] — bounded replay buffer feeding the online-retraining path
@@ -23,6 +25,7 @@ pub mod gbt;
 pub mod linreg;
 pub mod qdt;
 pub mod replay;
+mod residual;
 pub mod tree;
 
 pub use api::{

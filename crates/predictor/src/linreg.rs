@@ -6,29 +6,25 @@
 //! decision tree, the baseline adapts online — a ring buffer of recent
 //! residuals replaces the offline residual quantile (the paper: "we also
 //! adapted the models to take into account the online runtime samples").
+//! The `residual` module keeps that bound cheap to read between
+//! observations.
 //!
 //! The paper's finding, which this implementation reproduces: the linear
 //! model misses far more deadlines than the tree models because task
 //! runtimes are *not* linear in several inputs (§4.1).
 
 use crate::api::{TrainingSample, WcetPredictor};
+use crate::residual::{ResidualBound, RESIDUAL_BUFFER};
 use concordia_ran::features::FeatureVec;
 use concordia_stats::linalg::{least_squares, Matrix};
-use concordia_stats::ring::MaxRingBuffer;
-use concordia_stats::summary::normal_quantile;
-
-/// Residual ring-buffer capacity for online adaptation.
-const RESIDUAL_BUFFER: usize = 5_000;
 
 /// Linear-regression WCET predictor with residual-quantile upper bounding.
 pub struct LinearRegression {
     feats: Vec<usize>,
     /// `weights[0]` is the intercept; `weights[1..]` align with `feats`.
     weights: Vec<f64>,
-    /// Confidence for the residual upper bound.
-    confidence: f64,
-    /// Recent residuals (actual − mean prediction), online-updated.
-    residuals: MaxRingBuffer,
+    /// Recent residuals (actual − mean prediction) and their upper bound.
+    residuals: ResidualBound,
 }
 
 impl LinearRegression {
@@ -54,8 +50,7 @@ impl LinearRegression {
         let mut lr = LinearRegression {
             feats: feats.to_vec(),
             weights,
-            confidence,
-            residuals: MaxRingBuffer::new(RESIDUAL_BUFFER),
+            residuals: ResidualBound::new(confidence),
         };
         // Seed the residual buffer from the training set (most recent last).
         let start = samples.len().saturating_sub(RESIDUAL_BUFFER);
@@ -74,27 +69,15 @@ impl LinearRegression {
         }
         v
     }
-
-    /// Gaussian prediction-interval bound: `mean + z(confidence) * sd` of
-    /// the recent residuals — the standard "prediction interval" recipe the
-    /// paper applies to its regression baselines (§6.4). A single global
-    /// interval under-covers the large-input regime when the noise is
-    /// multiplicative, which is exactly the Fig. 14 failure mode.
-    fn residual_bound(&self) -> f64 {
-        let xs = self.residuals.samples();
-        if xs.len() < 2 {
-            return 0.0;
-        }
-        let n = xs.len() as f64;
-        let mean = xs.iter().sum::<f64>() / n;
-        let var = xs.iter().map(|r| (r - mean) * (r - mean)).sum::<f64>() / (n - 1.0);
-        mean + normal_quantile(self.confidence) * var.sqrt()
-    }
 }
 
 impl WcetPredictor for LinearRegression {
     fn predict_us(&self, x: &FeatureVec) -> f64 {
-        (self.mean_us(x) + self.residual_bound()).max(0.0)
+        self.residuals.predict(self.mean_us(x))
+    }
+
+    fn predict_bounds(&self, x: &FeatureVec) -> (f64, f64) {
+        self.residuals.predict_bounds(self.mean_us(x))
     }
 
     fn observe(&mut self, x: &FeatureVec, runtime_us: f64) {
@@ -110,6 +93,7 @@ impl WcetPredictor for LinearRegression {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::InflatedPredictor;
     use concordia_ran::features::NUM_FEATURES;
     use concordia_stats::rng::Rng;
 
@@ -199,6 +183,53 @@ mod tests {
         }
         let after = lr.predict_us(&fv(5.0));
         assert!(after > before + 20.0, "before {before} after {after}");
+    }
+
+    /// Property: after any interleaving of predictions and observations,
+    /// from two training samples to a full residual ring, `predict_us`
+    /// equals a prediction from a fresh residual scan.
+    #[test]
+    fn memoized_predictions_equal_a_fresh_scan() {
+        let mut rng = Rng::new(8);
+        let mut lr = LinearRegression::fit(&linear_samples(2, 9), &[0], 0.99999);
+        for _ in 0..3 * RESIDUAL_BUFFER {
+            let x = fv(rng.f64() * 15.0);
+            if rng.chance(0.3) {
+                let fresh = (lr.mean_us(&x) + lr.residuals.scan()).max(0.0);
+                assert_eq!(lr.predict_us(&x).to_bits(), fresh.to_bits());
+            } else {
+                lr.observe(&x, 10.0 + 30.0 * x[0] + rng.normal() * 5.0);
+            }
+        }
+    }
+
+    /// Property: `predict_bounds` contains `predict_us`, bare and inflated,
+    /// on adversarial observation streams: residuals from 1e-6 to 1e6 with
+    /// random signs, constant runs, two training samples to a full ring,
+    /// and a confidence below 0.5.
+    #[test]
+    fn predict_bounds_contain_the_prediction() {
+        let mut rng = Rng::new(10);
+        for &confidence in &[0.99999, 0.2] {
+            let lr = LinearRegression::fit(&linear_samples(2, 11), &[0], confidence);
+            let mut inflated = InflatedPredictor::new(Box::new(lr), 1.5);
+            for i in 0..RESIDUAL_BUFFER + 1_500 {
+                let x = fv(rng.f64() * 15.0);
+                let runtime = if i % 1_000 < 100 {
+                    42.0
+                } else {
+                    let r = 10f64.powf(rng.range_f64(-6.0, 6.0));
+                    10.0 + 30.0 * x[0] + if rng.chance(0.5) { r } else { -r }
+                };
+                inflated.observe(&x, runtime);
+                if i < 30 || i % 37 == 0 {
+                    let (lo, hi) = inflated.predict_bounds(&x);
+                    let p = inflated.predict_us(&x);
+                    assert!(lo <= p && p <= hi, "{p} outside [{lo}, {hi}] at {i}");
+                    assert_eq!(inflated.predict_bounds(&x), (p, p), "memo unused");
+                }
+            }
+        }
     }
 
     #[test]

@@ -50,7 +50,14 @@ impl MispredictionGuard {
 
     /// Feeds one (predicted, actual) runtime pair, in any common unit.
     pub fn observe(&mut self, predicted_us: f64, actual_us: f64) {
-        if actual_us > predicted_us {
+        self.observe_outcome(actual_us > predicted_us);
+    }
+
+    /// Feeds one comparison's outcome: `true` when the actual runtime
+    /// exceeded the prediction. The guard needs no more than this, so a
+    /// caller may decide it without the exact prediction.
+    pub fn observe_outcome(&mut self, underestimated: bool) {
+        if underestimated {
             self.streak += 1;
             if self.streak >= self.threshold {
                 self.inflation = (self.inflation * self.growth).min(self.cap);
@@ -170,6 +177,29 @@ mod tests {
         // Post-reset behavior matches a fresh guard: no residual memory.
         g.observe(100.0, 150.0);
         assert_eq!(g.inflation(), 1.0);
+    }
+
+    /// Property: `observe` is `observe_outcome` of the comparison, on
+    /// random error streams long enough to engage, cap and decay.
+    #[test]
+    fn observe_is_observe_outcome_of_the_comparison() {
+        let mut rng = concordia_stats::rng::Rng::new(3);
+        let mut a = MispredictionGuard::new(3);
+        let mut b = MispredictionGuard::new(3);
+        for i in 0..5_000 {
+            // Long runs of one sign, so the streak crosses the threshold.
+            let under_bias = if (i / 40) % 2 == 0 { 0.9 } else { 0.1 };
+            let predicted = 100.0 * rng.f64();
+            let actual = if rng.chance(under_bias) {
+                predicted + rng.f64()
+            } else {
+                predicted - rng.f64()
+            };
+            a.observe(predicted, actual);
+            b.observe_outcome(actual > predicted);
+            assert_eq!(a.inflation().to_bits(), b.inflation().to_bits());
+            assert_eq!(a.streak(), b.streak());
+        }
     }
 
     #[test]

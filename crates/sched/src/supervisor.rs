@@ -367,6 +367,14 @@ impl PredictorSupervisor {
         self.lanes[lane].as_ref().map(|l| l.serving().predict_us(x))
     }
 
+    /// An interval that contains [`PredictorSupervisor::predict_us`]: the
+    /// serving model's [`WcetPredictor::predict_bounds`].
+    pub fn predict_bounds(&self, lane: usize, x: &FeatureVec) -> Option<(f64, f64)> {
+        self.lanes[lane]
+            .as_ref()
+            .map(|l| l.serving().predict_bounds(x))
+    }
+
     /// Serving prediction as a duration.
     pub fn predict(&self, lane: usize, x: &FeatureVec) -> Option<Nanos> {
         self.predict_us(lane, x).map(Nanos::from_micros_f64)
@@ -585,8 +593,10 @@ impl PredictorSupervisor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use concordia_predictor::api::{FixedPredictor, MaxObservedPredictor};
+    use concordia_predictor::api::{FixedPredictor, InflatedPredictor, MaxObservedPredictor};
+    use concordia_predictor::LinearRegression;
     use concordia_ran::features::NUM_FEATURES;
+    use concordia_stats::rng::Rng;
 
     const X: FeatureVec = [0.0; NUM_FEATURES];
 
@@ -835,6 +845,57 @@ mod tests {
         // One clean window restores Normal.
         sup.end_window(100, 0);
         assert_eq!(sup.admission(), AdmissionLevel::Normal);
+    }
+
+    /// Property: `predict_bounds` contains `predict_us` in every serving
+    /// state, including the inflated linear fallback that serves while the
+    /// lane is Quarantined or in Shadow, on a drifted runtime stream with
+    /// residuals from 1e-6 to 1e6 of either sign.
+    #[test]
+    fn predict_bounds_contain_the_serving_prediction() {
+        let mut rng = Rng::new(12);
+        let mut features = || {
+            let mut x = X;
+            x[0] = rng.f64() * 10.0;
+            x
+        };
+        let train: Vec<TrainingSample> = (0..300)
+            .map(|i| {
+                let x = features();
+                TrainingSample {
+                    x,
+                    runtime_us: 20.0 + 5.0 * x[0] + (i % 7) as f64,
+                }
+            })
+            .collect();
+        let fallback =
+            InflatedPredictor::new(Box::new(LinearRegression::fit(&train, &[0], 0.99999)), 1.5);
+        let mut sup = PredictorSupervisor::new(test_cfg(), 1);
+        sup.install(0, Box::new(OneLeaf { wcet: 100.0 }), Box::new(fallback));
+        let mut rng = Rng::new(13);
+        for window in 0..40 {
+            for _ in 0..20 {
+                let mut x = X;
+                x[0] = rng.f64() * 10.0;
+                let runtime = if window == 0 {
+                    80.0
+                } else {
+                    let r = 10f64.powf(rng.range_f64(-6.0, 6.0));
+                    200.0 + if rng.chance(0.5) { r } else { -r }
+                };
+                let (lo, hi) = sup.predict_bounds(0, &x).expect("installed lane");
+                let p = sup.predict_us(0, &x).expect("installed lane");
+                assert!(
+                    lo <= p && p <= hi,
+                    "{p} outside [{lo}, {hi}] in window {window}, {:?}",
+                    sup.lane_state(0)
+                );
+                sup.record(0, &x, runtime);
+            }
+            sup.end_window(20, 0);
+        }
+        let c = sup.counters();
+        assert!(c.quarantines >= 1 && c.retrains >= 1, "{c:?}");
     }
 
     #[test]

@@ -46,8 +46,9 @@ impl MaxRingBuffer {
         self.buf.is_empty()
     }
 
-    /// Pushes a sample, evicting the oldest one if at capacity.
-    pub fn push(&mut self, x: f64) {
+    /// Pushes a sample, evicting the oldest one if at capacity. Returns
+    /// the evicted sample, so a caller can keep running sums current.
+    pub fn push(&mut self, x: f64) -> Option<f64> {
         debug_assert!(!x.is_nan(), "NaN runtime sample");
         if self.buf.len() < self.capacity {
             self.buf.push(x);
@@ -55,9 +56,10 @@ impl MaxRingBuffer {
             if self.max_idx == usize::MAX || x >= self.buf[self.max_idx] {
                 self.max_idx = idx;
             }
+            None
         } else {
             let evict = self.head;
-            self.buf[evict] = x;
+            let old = std::mem::replace(&mut self.buf[evict], x);
             self.head = (self.head + 1) % self.capacity;
             if evict == self.max_idx {
                 // The maximum was evicted: rescan.
@@ -65,6 +67,7 @@ impl MaxRingBuffer {
             } else if x >= self.buf[self.max_idx] {
                 self.max_idx = evict;
             }
+            Some(old)
         }
     }
 
@@ -167,20 +170,33 @@ mod tests {
         assert_eq!(s, vec![6.0, 7.0, 8.0, 9.0]);
     }
 
+    /// Property: over random capacities and streams, continuous or with
+    /// ties and repeated maxima, `push` returns exactly what a `VecDeque`
+    /// shadow evicts, and `max` equals a rescan of the retained samples.
     #[test]
-    fn max_matches_naive_under_random_workload() {
-        let mut rng = Rng::new(55);
-        let mut r = MaxRingBuffer::new(50);
-        let mut shadow: Vec<f64> = Vec::new();
-        for _ in 0..5_000 {
-            let x = rng.f64() * 100.0;
-            r.push(x);
-            shadow.push(x);
-            if shadow.len() > 50 {
-                shadow.remove(0);
+    fn push_returns_the_evicted_sample_and_max_matches_a_rescan() {
+        let mut rng = Rng::new(56);
+        for case in 0..200 {
+            let capacity = 1 + rng.below(50) as usize;
+            let mut r = MaxRingBuffer::new(capacity);
+            let mut shadow = std::collections::VecDeque::new();
+            // One case in eight draws continuous values; the others draw
+            // from 1–7 distinct values, which make ties, and evictions of
+            // a tied maximum, common.
+            let distinct = case % 8;
+            for _ in 0..(3 * capacity + rng.below(100) as usize) {
+                let x = if distinct == 0 {
+                    rng.f64() * 100.0
+                } else {
+                    rng.below(distinct as u64) as f64 - 2.0
+                };
+                shadow.push_back(x);
+                let expect = (shadow.len() > capacity).then(|| shadow.pop_front().unwrap());
+                assert_eq!(r.push(x), expect);
+                let rescan = shadow.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+                assert_eq!(r.max(), Some(rescan));
+                assert_eq!(r.len(), shadow.len());
             }
-            let naive = shadow.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-            assert_eq!(r.max(), Some(naive));
         }
     }
 
