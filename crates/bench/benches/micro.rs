@@ -21,6 +21,9 @@
 //!   — the three offline training stages of one task kind (Algorithm 1's
 //!   distance-correlation ranking and backwards elimination, then the
 //!   quantile-tree fit), all on one fixed `fdd_20mhz` profiling dataset;
+//! * `train_bank` — the whole offline fit on that dataset: every task
+//!   kind's selection and quantile tree, the kinds on up to
+//!   `available_parallelism` workers;
 //! * `pool_width/N` — one fixed stream of 100 MHz slot DAGs pushed through
 //!   a `VranPool` of N cores under the Concordia scheduler, per executed
 //!   task. The stream is the same at every width, so the row isolates
@@ -331,6 +334,10 @@ fn bench_training(c: &mut Criterion) {
     });
     c.bench_function("train_qdt_fit", |b| {
         b.iter(|| QuantileDecisionTree::fit(black_box(samples), &feats, &TreeConfig::default()))
+    });
+    // Every kind's selection and fit, with fresh selections each time.
+    c.bench_function("train_bank", |b| {
+        b.iter(|| train_bank(black_box(&dataset), PredictorChoice::QuantileDt, &cost))
     });
 }
 

@@ -300,6 +300,31 @@ mod tests {
         }
     }
 
+    /// Property: the relative allowance g alone covers `scan`'s own
+    /// rounding. Integer residuals below 2²⁰ in magnitude make every r²
+    /// and every running sum of up to 5,000 of them exact, so the sums'
+    /// tracked allowances can be zeroed; what is left of the interval's
+    /// width is g's, and it must still contain a fresh scan.
+    #[test]
+    fn interval_covers_the_scans_rounding_when_the_sums_are_exact() {
+        let mut rng = Rng::new(2020);
+        for case in 0..400 {
+            let confidence = [0.99999, 0.9, 0.3][case % 3];
+            let len = rng.range_u64(2, RESIDUAL_BUFFER as u64) as usize;
+            // Magnitudes up to 2²⁰ − 1, spread over every power of two.
+            let bits = rng.range_u64(1, 20);
+            let scale = rng.range_u64(1, (1 << bits) - 1);
+            let mut b = ResidualBound::new(confidence);
+            for _ in 0..len {
+                b.push(rng.range_u64(0, 2 * scale) as f64 - scale as f64);
+            }
+            b.sums.r.err = 0.0;
+            b.sums.sq.err = 0.0;
+            b.sums.abs.err = 0.0;
+            assert_encloses(&b, "exact sums");
+        }
+    }
+
     /// Property: after any interleaving of reads and pushes, the memoized
     /// value equals a fresh scan, and the interval collapses to it.
     #[test]
