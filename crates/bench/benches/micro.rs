@@ -66,8 +66,6 @@ fn dags_for_cells(cells: u32, seed: u64) -> Vec<DagProgress> {
             let wl = random_workload(&cell, dir, &mut rng);
             let dag = concordia_ran::dag::build_dag(&cell, c, 0, Nanos::ZERO, &wl);
             dags.push(DagProgress {
-                cell: 0,
-                arrival: Nanos::ZERO,
                 deadline: Nanos::from_millis(2),
                 remaining_work: dag.total_work(&cost),
                 remaining_critical_path: dag.critical_path(&cost),

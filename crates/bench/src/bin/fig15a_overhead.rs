@@ -72,8 +72,6 @@ fn main() {
                 let work = dag.total_work(&cost);
                 let cp = dag.critical_path(&cost);
                 dags.push(DagProgress {
-                    cell: 0,
-                    arrival: Nanos::ZERO,
                     deadline: Nanos::from_millis(2),
                     remaining_work: work,
                     remaining_critical_path: cp,

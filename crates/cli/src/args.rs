@@ -320,6 +320,8 @@ pub fn parse(argv: &[String]) -> Result<Cli, CliError> {
                     .map_err(|e| CliError(format!("--reconfig: cannot read '{path}': {e}")))?;
                 let plan: ReconfigPlan = serde_json::from_str(&text)
                     .map_err(|e| CliError(format!("--reconfig: '{path}' is not a plan: {e}")))?;
+                plan.validate()
+                    .map_err(|e| CliError(format!("--reconfig: '{path}': {e}")))?;
                 cfg.reconfig = Some(plan);
             }
             "--scenario" => {
@@ -764,6 +766,11 @@ mod tests {
         assert!(parse(&["--repeat".into(), "2".into(), "--reconfig".into(), arg]).is_err());
         assert!(parse(&args("--reconfig /nonexistent/plan.json")).is_err());
         assert!(parse(&args("--reconfig")).is_err(), "missing value");
+        // A plan that parses but fails `ReconfigPlan::validate` is refused.
+        let zero = ReconfigPlan::new(vec![ReconfigStep::GrowPool { cores: 0 }]);
+        std::fs::write(&path, serde_json::to_string(&zero).unwrap()).unwrap();
+        let e = parse(&["--reconfig".into(), path.to_str().unwrap().into()]).unwrap_err();
+        assert!(e.0.contains("zero cores"), "{}", e.0);
         std::fs::remove_file(&path).ok();
     }
 

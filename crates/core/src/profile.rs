@@ -479,9 +479,6 @@ impl WcetPredictor for OraclePredictor {
             * self.margin
     }
     fn observe(&mut self, _x: &concordia_ran::features::FeatureVec, _r: f64) {}
-    fn name(&self) -> &'static str {
-        "oracle"
-    }
 }
 
 #[cfg(test)]

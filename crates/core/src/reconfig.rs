@@ -80,20 +80,6 @@ impl ReconfigStep {
             ReconfigStep::SetDeadline { .. } => "set_deadline",
         }
     }
-
-    /// Compact code carried by trace events; mirrors
-    /// [`concordia_platform::trace::reconfig_step_name`].
-    pub fn code(&self) -> u8 {
-        match self {
-            ReconfigStep::AddCell => 0,
-            ReconfigStep::DrainCell { .. } => 1,
-            ReconfigStep::GrowPool { .. } => 2,
-            ReconfigStep::ShrinkPool { .. } => 3,
-            ReconfigStep::SwapPredictor { .. } => 4,
-            ReconfigStep::Rephase { .. } => 5,
-            ReconfigStep::SetDeadline { .. } => 6,
-        }
-    }
 }
 
 /// Hard invariants checked every slot while a step settles.
@@ -458,7 +444,7 @@ impl ReconfigEngine {
         match sim.reconfig_apply(&step) {
             Ok(undo) => {
                 sim.trace_reconfig(TraceEvent::ReconfigApply {
-                    step: step.code(),
+                    step: step.name(),
                     index: idx as u32,
                 });
                 self.inflight = Some(Inflight {
@@ -724,27 +710,6 @@ pub fn search_safe_order(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn step_codes_match_trace_names() {
-        let steps = [
-            ReconfigStep::AddCell,
-            ReconfigStep::DrainCell { cell: 0 },
-            ReconfigStep::GrowPool { cores: 1 },
-            ReconfigStep::ShrinkPool { cores: 1 },
-            ReconfigStep::SwapPredictor {
-                predictor: PredictorChoice::Oracle,
-            },
-            ReconfigStep::Rephase { stagger: true },
-            ReconfigStep::SetDeadline { deadline_us: 2000 },
-        ];
-        for s in steps {
-            assert_eq!(
-                concordia_platform::trace::reconfig_step_name(s.code()),
-                s.name()
-            );
-        }
-    }
 
     #[test]
     fn plan_round_trips_through_json() {

@@ -24,7 +24,7 @@ use crate::report::{
 use concordia_platform::faults::{FaultKind, FaultTimeline};
 use concordia_platform::pool::{PoolConfig, ScheduledDag, VranPool};
 use concordia_platform::sched_api::{DedicatedScheduler, PoolScheduler};
-use concordia_platform::trace::{self, TraceEvent, TraceRecorder};
+use concordia_platform::trace::{TraceEvent, TraceRecorder};
 use concordia_platform::workloads::{MixSchedule, WorkloadKind};
 use concordia_predictor::api::ModelBank;
 use concordia_ran::cell::CellInstance;
@@ -116,22 +116,6 @@ pub struct Simulation {
 /// Workload-level fault kinds the sim (not the pool) traces, paired with
 /// their slot in [`Simulation::workload_fault_active`].
 const WORKLOAD_FAULTS: [FaultKind; 2] = [FaultKind::PredictorBias, FaultKind::TrafficSurge];
-
-fn lane_code(s: LaneState) -> u8 {
-    match s {
-        LaneState::Healthy => trace::LANE_HEALTHY,
-        LaneState::Quarantined => trace::LANE_QUARANTINED,
-        LaneState::Shadow => trace::LANE_SHADOW,
-    }
-}
-
-fn admission_code(a: AdmissionLevel) -> u8 {
-    match a {
-        AdmissionLevel::Normal => trace::ADMISSION_NORMAL,
-        AdmissionLevel::Shed => trace::ADMISSION_SHED,
-        AdmissionLevel::Reject => trace::ADMISSION_REJECT,
-    }
-}
 
 fn make_scheduler(choice: SchedulerChoice) -> Box<dyn PoolScheduler> {
     match choice {
@@ -482,8 +466,8 @@ impl Simulation {
                 if now != was {
                     self.pool.record_trace_event(TraceEvent::LaneTransition {
                         lane: l as u8,
-                        from: lane_code(was),
-                        to: lane_code(now),
+                        from: was,
+                        to: now,
                     });
                 }
             }
@@ -491,9 +475,8 @@ impl Simulation {
         let admission = sup.admission();
         if tracing && admission != self.last_traced_admission {
             self.last_traced_admission = admission;
-            self.pool.record_trace_event(TraceEvent::Admission {
-                level: admission_code(admission),
-            });
+            self.pool
+                .record_trace_event(TraceEvent::Admission { level: admission });
         }
         match admission {
             AdmissionLevel::Shed | AdmissionLevel::Reject => {
@@ -608,13 +591,12 @@ impl Simulation {
                 }
             }
 
-            // Periodic flat snapshot for the metrics exporter.
-            if let Some(tc) = self.cfg.trace {
-                let every = tc.snapshot_slots.max(1);
-                if (slot + 1) % every == 0 {
-                    self.pool
-                        .record_window_snapshot((slot + 1) / every, self.max_guard_inflation());
-                }
+            // Periodic flat snapshot for the metrics exporter (a period of
+            // 0 disables it).
+            let every = self.cfg.trace.map_or(0, |tc| tc.snapshot_slots);
+            if every > 0 && (slot + 1) % every == 0 {
+                self.pool
+                    .record_window_snapshot((slot + 1) / every, self.max_guard_inflation());
             }
 
             // Live reconfiguration: the engine observes the finished slot,
@@ -1235,7 +1217,12 @@ impl Simulation {
             unit: p.unit.to_string(),
             achieved_ops_per_sec: achieved / (self.cfg.duration.as_nanos() as f64 / 1e9),
             ideal_ops_per_sec: ideal / (self.cfg.duration.as_nanos() as f64 / 1e9),
-            fraction_of_ideal: if ideal > 0.0 { achieved / ideal } else { 0.0 },
+            fraction_of_ideal: p.achieved_fraction(
+                self.cfg.cores,
+                self.cfg.duration,
+                m.besteffort_core_time,
+                m.evictions,
+            ),
         }
     }
 

@@ -98,28 +98,6 @@ impl PoolArchChoice {
     }
 }
 
-/// Per-cell queued-task counters, lazily grown by cell id.
-#[derive(Debug, Default)]
-struct CellLedger(Vec<u32>);
-
-impl CellLedger {
-    fn add(&mut self, cell: u32) {
-        let i = cell as usize;
-        if self.0.len() <= i {
-            self.0.resize(i + 1, 0);
-        }
-        self.0[i] += 1;
-    }
-    fn sub(&mut self, cell: u32) {
-        if let Some(n) = self.0.get_mut(cell as usize) {
-            *n = n.saturating_sub(1);
-        }
-    }
-    fn get(&self, cell: u32) -> usize {
-        self.0.get(cell as usize).copied().unwrap_or(0) as usize
-    }
-}
-
 // ---------------------------------------------------------------------
 // Centralized EDF (the extracted original pool queue)
 // ---------------------------------------------------------------------
@@ -131,7 +109,6 @@ impl CellLedger {
 #[derive(Debug, Default)]
 pub struct CentralEdf {
     heap: BinaryHeap<Reverse<ReadyTask>>,
-    per_cell: CellLedger,
 }
 
 impl CentralEdf {
@@ -142,27 +119,18 @@ impl CentralEdf {
 }
 
 impl PoolArchitecture for CentralEdf {
-    fn name(&self) -> &'static str {
-        "edf"
-    }
     fn set_in_service(&mut self, _usable: &[bool]) {}
     fn push(&mut self, task: ReadyTask, _origin: Option<u32>) {
-        self.per_cell.add(task.cell);
         self.heap.push(Reverse(task));
     }
     fn pop_for(&mut self, _core: u32) -> Option<ReadyTask> {
-        let Reverse(task) = self.heap.pop()?;
-        self.per_cell.sub(task.cell);
-        Some(task)
+        self.heap.pop().map(|Reverse(task)| task)
     }
     fn len(&self) -> usize {
         self.heap.len()
     }
     fn keeps_local(&self, _core: u32, _cell: u32, _kind: TaskKind) -> bool {
         true
-    }
-    fn queued_for_cell(&self, cell: u32) -> usize {
-        self.per_cell.get(cell)
     }
 }
 
@@ -175,7 +143,6 @@ impl PoolArchitecture for CentralEdf {
 #[derive(Debug, Default)]
 pub struct CentralFcfs {
     queue: VecDeque<ReadyTask>,
-    per_cell: CellLedger,
 }
 
 impl CentralFcfs {
@@ -186,27 +153,18 @@ impl CentralFcfs {
 }
 
 impl PoolArchitecture for CentralFcfs {
-    fn name(&self) -> &'static str {
-        "cfcfs"
-    }
     fn set_in_service(&mut self, _usable: &[bool]) {}
     fn push(&mut self, task: ReadyTask, _origin: Option<u32>) {
-        self.per_cell.add(task.cell);
         self.queue.push_back(task);
     }
     fn pop_for(&mut self, _core: u32) -> Option<ReadyTask> {
-        let task = self.queue.pop_front()?;
-        self.per_cell.sub(task.cell);
-        Some(task)
+        self.queue.pop_front()
     }
     fn len(&self) -> usize {
         self.queue.len()
     }
     fn keeps_local(&self, _core: u32, _cell: u32, _kind: TaskKind) -> bool {
         true
-    }
-    fn queued_for_cell(&self, cell: u32) -> usize {
-        self.per_cell.get(cell)
     }
 }
 
@@ -254,9 +212,6 @@ impl PerCellDfcfs {
 }
 
 impl PoolArchitecture for PerCellDfcfs {
-    fn name(&self) -> &'static str {
-        "dfcfs"
-    }
     fn set_in_service(&mut self, usable: &[bool]) {
         self.in_service.clear();
         self.in_service.extend(
@@ -302,9 +257,6 @@ impl PoolArchitecture for PerCellDfcfs {
     fn keeps_local(&self, core: u32, cell: u32, _kind: TaskKind) -> bool {
         self.serves(core, cell)
     }
-    fn queued_for_cell(&self, cell: u32) -> usize {
-        self.queues.get(cell as usize).map_or(0, VecDeque::len)
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -326,7 +278,6 @@ pub struct WorkStealing {
     in_service: Vec<u32>,
     rng: Rng,
     total: usize,
-    per_cell: CellLedger,
 }
 
 impl WorkStealing {
@@ -337,7 +288,6 @@ impl WorkStealing {
             in_service: Vec::new(),
             rng,
             total: 0,
-            per_cell: CellLedger::default(),
         }
     }
 
@@ -355,9 +305,6 @@ impl WorkStealing {
 }
 
 impl PoolArchitecture for WorkStealing {
-    fn name(&self) -> &'static str {
-        "steal"
-    }
     fn set_in_service(&mut self, usable: &[bool]) {
         if self.deques.len() < usable.len() {
             self.deques.resize_with(usable.len(), VecDeque::new);
@@ -376,7 +323,6 @@ impl PoolArchitecture for WorkStealing {
         if self.deques.len() <= slot {
             self.deques.resize_with(slot + 1, VecDeque::new);
         }
-        self.per_cell.add(task.cell);
         self.deques[slot].push_back(task);
         self.total += 1;
     }
@@ -391,7 +337,6 @@ impl PoolArchitecture for WorkStealing {
             .and_then(VecDeque::pop_back)
         {
             self.total -= 1;
-            self.per_cell.sub(task.cell);
             return Some(task);
         }
         // Steal from the FIFO end of the first non-empty deque, scanning
@@ -403,7 +348,6 @@ impl PoolArchitecture for WorkStealing {
             let v = (start + k) % n;
             if let Some(task) = self.deques[v].pop_front() {
                 self.total -= 1;
-                self.per_cell.sub(task.cell);
                 return Some(task);
             }
         }
@@ -414,9 +358,6 @@ impl PoolArchitecture for WorkStealing {
     }
     fn keeps_local(&self, _core: u32, _cell: u32, _kind: TaskKind) -> bool {
         true
-    }
-    fn queued_for_cell(&self, cell: u32) -> usize {
-        self.per_cell.get(cell)
     }
 }
 
@@ -450,7 +391,6 @@ pub struct PipelinePartition {
     /// Per core: bitmask of served stages (bit s = stage s).
     serves: Vec<u8>,
     total: usize,
-    per_cell: CellLedger,
 }
 
 impl Default for PipelinePartition {
@@ -466,7 +406,6 @@ impl PipelinePartition {
             stages: [BinaryHeap::new(), BinaryHeap::new(), BinaryHeap::new()],
             serves: Vec::new(),
             total: 0,
-            per_cell: CellLedger::default(),
         }
     }
 
@@ -478,9 +417,6 @@ impl PipelinePartition {
 }
 
 impl PoolArchitecture for PipelinePartition {
-    fn name(&self) -> &'static str {
-        "pipeline"
-    }
     fn set_in_service(&mut self, usable: &[bool]) {
         self.serves.clear();
         self.serves.resize(usable.len(), 0);
@@ -502,7 +438,6 @@ impl PoolArchitecture for PipelinePartition {
         }
     }
     fn push(&mut self, task: ReadyTask, _origin: Option<u32>) {
-        self.per_cell.add(task.cell);
         self.stages[stage_of(task.kind)].push(Reverse(task));
         self.total += 1;
     }
@@ -527,7 +462,6 @@ impl PoolArchitecture for PipelinePartition {
         let (_, s) = best?;
         let Reverse(task) = self.stages[s].pop()?;
         self.total -= 1;
-        self.per_cell.sub(task.cell);
         Some(task)
     }
     fn len(&self) -> usize {
@@ -535,9 +469,6 @@ impl PoolArchitecture for PipelinePartition {
     }
     fn keeps_local(&self, core: u32, _cell: u32, kind: TaskKind) -> bool {
         self.mask_of(core) & (1 << stage_of(kind)) != 0
-    }
-    fn queued_for_cell(&self, cell: u32) -> usize {
-        self.per_cell.get(cell)
     }
 }
 
@@ -588,10 +519,8 @@ mod tests {
         a.push(task(0, 500, 0, TaskKind::Fft), None);
         a.push(task(1, 100, 1, TaskKind::Fft), None);
         a.push(task(2, 100, 0, TaskKind::Fft), None);
-        assert_eq!(a.queued_for_cell(0), 2);
         let order: Vec<u64> = std::iter::from_fn(|| a.pop_for(0).map(|t| t.seq)).collect();
         assert_eq!(order, vec![1, 2, 0]);
-        assert_eq!(a.queued_for_cell(0), 0);
     }
 
     #[test]
@@ -701,8 +630,6 @@ mod tests {
                 a.push(task(s, 100 + s % 13, (s % 5) as u32, kind), None);
             }
             assert_eq!(a.len(), 200, "{}", choice.name());
-            let per_cell: usize = (0..5).map(|c| a.queued_for_cell(c)).sum();
-            assert_eq!(per_cell, 200, "{}: per-cell accounting", choice.name());
             let popped = drain_all(a.as_mut(), &[0, 1, 2]);
             assert_eq!(popped.len(), 200, "{} stranded tasks", choice.name());
             assert!(a.is_empty(), "{}", choice.name());

@@ -261,17 +261,6 @@ impl PoolMetrics {
         }
     }
 
-    /// vRAN CPU utilization over the cores it held: busy / held (the
-    /// Fig. 4a readout is busy over *all* pool core-time; see
-    /// [`PoolMetrics::utilization_of_pool`]).
-    pub fn utilization_of_held(&self) -> f64 {
-        if self.vran_core_time == Nanos::ZERO {
-            0.0
-        } else {
-            self.vran_busy_time.as_nanos() as f64 / self.vran_core_time.as_nanos() as f64
-        }
-    }
-
     /// vRAN CPU utilization over the whole pool (busy core-time over
     /// `cores × duration`) — the Fig. 4a "Avg CPU util" column.
     pub fn utilization_of_pool(&self, cores: u32, duration: Nanos) -> f64 {
@@ -526,7 +515,6 @@ mod tests {
         let mut m = PoolMetrics::new();
         m.vran_core_time = Nanos::from_secs(4);
         m.vran_busy_time = Nanos::from_secs(1);
-        assert!((m.utilization_of_held() - 0.25).abs() < 1e-12);
         assert!((m.utilization_of_pool(8, Nanos::from_secs(1)) - 0.125).abs() < 1e-12);
     }
 

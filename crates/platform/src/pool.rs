@@ -673,12 +673,6 @@ impl VranPool {
         self.in_service_scratch = mask;
     }
 
-    /// Queued (ready, unclaimed) tasks belonging to `cell` — the
-    /// architecture's per-cell demand accounting.
-    pub fn queued_for_cell(&self, cell: u32) -> usize {
-        self.arch.queued_for_cell(cell)
-    }
-
     /// Cell id of an active DAG slot (0 when the slot is already freed).
     fn cell_of(&self, dag: u32) -> u32 {
         self.dags[dag as usize]
@@ -1232,8 +1226,6 @@ impl VranPool {
 
     fn fill_progress(&self, out: &mut Vec<DagProgress>) {
         out.extend(self.dags.iter().flatten().map(|d| DagProgress {
-            cell: d.sched.dag.cell_id,
-            arrival: d.sched.dag.arrival,
             deadline: d.sched.dag.deadline,
             remaining_work: d.remaining_work,
             remaining_critical_path: d.remaining_critical_path,
@@ -1597,9 +1589,6 @@ mod tests {
         }
         fn tick(&self) -> Nanos {
             Nanos::from_micros(20)
-        }
-        fn name(&self) -> &'static str {
-            "fixed"
         }
     }
 
@@ -2120,9 +2109,6 @@ mod tests {
             }
             fn tick(&self) -> Nanos {
                 Nanos::from_micros(20)
-            }
-            fn name(&self) -> &'static str {
-                "moving"
             }
         }
 

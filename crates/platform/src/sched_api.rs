@@ -64,16 +64,13 @@ impl Ord for ReadyTask {
 ///   state), so reports stay byte-identical across `--jobs` and repeated
 ///   runs.
 /// * **Work accounting** — [`PoolArchitecture::len`] is the exact number
-///   of queued tasks and [`PoolArchitecture::queued_for_cell`] its
-///   per-cell decomposition (the demand signal fault-recovery and
-///   scheduler heuristics read).
+///   of queued tasks: the scheduler's [`PoolView::ready_tasks`] signal and
+///   the pool's work-conservation check (ready nodes = queued + running +
+///   offloaded) both read it.
 /// * **Allocation freedom** — steady-state push/pop must not allocate
 ///   once internal buffers are warm (the pool's hot-path guarantee extends
 ///   to every architecture; `tests/hotpath_alloc.rs` enforces it).
 pub trait PoolArchitecture: Send {
-    /// Stable lowercase architecture name (reports, trace, bench labels).
-    fn name(&self) -> &'static str;
-
     /// Installs the in-service core mask (`true` = neither faulted nor
     /// retired). Called once at pool construction and again on every
     /// fault, restore, grow or shrink, before the next dispatch.
@@ -101,18 +98,12 @@ pub trait PoolArchitecture: Send {
     /// locally — §2.1's cache-efficiency optimization. Architectures with
     /// placement constraints veto successors that belong elsewhere.
     fn keeps_local(&self, core: u32, cell: u32, kind: TaskKind) -> bool;
-
-    /// Queued tasks belonging to `cell` (per-cell demand accounting).
-    fn queued_for_cell(&self, cell: u32) -> usize;
 }
 
-/// Progress snapshot of one active (incomplete) DAG.
+/// Progress snapshot of one active (incomplete) DAG: the deadline `D`,
+/// remaining work `C` and remaining critical path `L` of §3.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DagProgress {
-    /// Cell this DAG belongs to (multi-cell deployments share one pool).
-    pub cell: u32,
-    /// Release time of the DAG.
-    pub arrival: Nanos,
     /// Absolute deadline.
     pub deadline: Nanos,
     /// Sum of predicted WCETs of unfinished nodes (the remaining `C`).
@@ -151,9 +142,6 @@ pub trait PoolScheduler: Send {
 
     /// Re-evaluation period (Concordia: 20 µs).
     fn tick(&self) -> Nanos;
-
-    /// Scheduler name for reports.
-    fn name(&self) -> &'static str;
 }
 
 /// A trivial scheduler that always holds every core — the operators'
@@ -168,9 +156,6 @@ impl PoolScheduler for DedicatedScheduler {
     }
     fn tick(&self) -> Nanos {
         Nanos::from_micros(100)
-    }
-    fn name(&self) -> &'static str {
-        "dedicated"
     }
 }
 
@@ -192,7 +177,6 @@ mod tests {
             recent_utilization: 0.0,
         };
         assert_eq!(s.target_cores(&view), 8);
-        assert_eq!(s.name(), "dedicated");
         assert!(s.tick() > Nanos::ZERO);
     }
 }

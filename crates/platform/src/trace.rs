@@ -40,39 +40,51 @@ use concordia_ran::task::TaskKind;
 use concordia_ran::time::Nanos;
 use serde::{Deserialize, Serialize, Value};
 
-/// Supervisor-lane state code: serving the primary model.
-pub const LANE_HEALTHY: u8 = 0;
-/// Supervisor-lane state code: drifted, serving the fallback.
-pub const LANE_QUARANTINED: u8 = 1;
-/// Supervisor-lane state code: retrained candidate under shadow evaluation.
-pub const LANE_SHADOW: u8 = 2;
+/// Lifecycle state of one per-kind predictor lane of the supervisor
+/// (`concordia_sched::supervisor` re-exports it). It lives here so that
+/// [`TraceEvent::LaneTransition`] carries the state itself.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LaneState {
+    /// The primary model serves; drift detection is armed.
+    Healthy,
+    /// The fallback serves; the primary awaits enough fresh replay data.
+    Quarantined,
+    /// The fallback serves; the re-fitted primary is shadow-evaluated.
+    Shadow,
+}
 
-/// Admission-level code: everything admitted.
-pub const ADMISSION_NORMAL: u8 = 0;
-/// Admission-level code: best-effort work shed.
-pub const ADMISSION_SHED: u8 = 1;
-/// Admission-level code: new slot DAGs rejected.
-pub const ADMISSION_REJECT: u8 = 2;
-
-/// Human-readable name of a lane-state code (mirrors
-/// `concordia_sched::supervisor::LaneState::name`; the codes exist because
-/// the platform crate cannot see the scheduler's types).
-pub fn lane_state_name(code: u8) -> &'static str {
-    match code {
-        LANE_HEALTHY => "healthy",
-        LANE_QUARANTINED => "quarantined",
-        LANE_SHADOW => "shadow",
-        _ => "unknown",
+impl LaneState {
+    /// Stable display name for reports.
+    pub fn name(&self) -> &'static str {
+        match self {
+            LaneState::Healthy => "healthy",
+            LaneState::Quarantined => "quarantined",
+            LaneState::Shadow => "shadow",
+        }
     }
 }
 
-/// Human-readable name of an admission-level code.
-pub fn admission_level_name(code: u8) -> &'static str {
-    match code {
-        ADMISSION_NORMAL => "normal",
-        ADMISSION_SHED => "shed",
-        ADMISSION_REJECT => "reject",
-        _ => "unknown",
+/// Overload admission level of the supervisor, most permissive first
+/// (`concordia_sched::supervisor` re-exports it). It lives here so that
+/// [`TraceEvent::Admission`] carries the level itself.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum AdmissionLevel {
+    /// Everything is admitted.
+    Normal,
+    /// Best-effort work is shed (the colocated workloads are throttled).
+    Shed,
+    /// New slot-DAG admissions are rejected with a backpressure signal.
+    Reject,
+}
+
+impl AdmissionLevel {
+    /// Stable display name for reports.
+    pub fn name(&self) -> &'static str {
+        match self {
+            AdmissionLevel::Normal => "normal",
+            AdmissionLevel::Shed => "shed",
+            AdmissionLevel::Reject => "reject",
+        }
     }
 }
 
@@ -208,19 +220,19 @@ pub enum TraceEvent {
         /// New multiplicative inflation (≥ 1.0).
         inflation: f64,
     },
-    /// A supervisor lane changed lifecycle state (see `LANE_*` codes).
+    /// A supervisor lane changed lifecycle state.
     LaneTransition {
         /// Lane (task-kind index).
         lane: u8,
-        /// Previous state code.
-        from: u8,
-        /// New state code.
-        to: u8,
+        /// Previous state.
+        from: LaneState,
+        /// New state.
+        to: LaneState,
     },
-    /// The supervisor's admission level changed (see `ADMISSION_*` codes).
+    /// The supervisor's admission level changed.
     Admission {
-        /// New level code.
-        level: u8,
+        /// New level.
+        level: AdmissionLevel,
     },
     /// Slot DAGs were refused under reject-level admission control.
     AdmissionReject {
@@ -247,11 +259,10 @@ pub enum TraceEvent {
         /// Cores added (positive) or retired (negative).
         delta: i32,
     },
-    /// A reconfiguration step was applied at a slot boundary (see
-    /// `reconfig_step_name` for the step codes).
+    /// A reconfiguration step was applied at a slot boundary.
     ReconfigApply {
-        /// Step-kind code.
-        step: u8,
+        /// Step name (`concordia_core::reconfig::ReconfigStep::name`).
+        step: &'static str,
         /// Position of the step in the executed plan order.
         index: u32,
     },
@@ -266,22 +277,6 @@ pub enum TraceEvent {
         /// Position of the step in the executed plan order.
         index: u32,
     },
-}
-
-/// Human-readable name of a reconfig step code (mirrors
-/// `concordia_core::reconfig::ReconfigStep::code`; the codes exist because
-/// the platform crate cannot see the core crate's types).
-pub fn reconfig_step_name(code: u8) -> &'static str {
-    match code {
-        0 => "add_cell",
-        1 => "drain_cell",
-        2 => "grow_pool",
-        3 => "shrink_pool",
-        4 => "swap_predictor",
-        5 => "rephase",
-        6 => "set_deadline",
-        _ => "unknown",
-    }
 }
 
 /// One timestamped record in the ring.
@@ -656,28 +651,20 @@ pub fn export_chrome_trace(rec: &TraceRecorder) -> Value {
                 obj(vec![("inflation", Value::F64(inflation))]),
             )),
             TraceEvent::LaneTransition { lane, from, to } => events.push(instant(
-                &format!(
-                    "lane{} {}->{}",
-                    lane,
-                    lane_state_name(from),
-                    lane_state_name(to)
-                ),
+                &format!("lane{} {}->{}", lane, from.name(), to.name()),
                 TID_SUPERVISOR,
                 t,
                 obj(vec![
                     ("lane", Value::U64(lane as u64)),
-                    ("from", Value::Str(lane_state_name(from).into())),
-                    ("to", Value::Str(lane_state_name(to).into())),
+                    ("from", Value::Str(from.name().into())),
+                    ("to", Value::Str(to.name().into())),
                 ]),
             )),
             TraceEvent::Admission { level } => events.push(instant(
-                &format!("admission {}", admission_level_name(level)),
+                &format!("admission {}", level.name()),
                 TID_SUPERVISOR,
                 t,
-                obj(vec![(
-                    "level",
-                    Value::Str(admission_level_name(level).into()),
-                )]),
+                obj(vec![("level", Value::Str(level.name().into()))]),
             )),
             TraceEvent::AdmissionReject { dags } => events.push(instant(
                 "admission_reject",
@@ -710,11 +697,11 @@ pub fn export_chrome_trace(rec: &TraceRecorder) -> Value {
                 ]),
             )),
             TraceEvent::ReconfigApply { step, index } => events.push(instant(
-                &format!("apply {}", reconfig_step_name(step)),
+                &format!("apply {step}"),
                 TID_RECONFIG,
                 t,
                 obj(vec![
-                    ("step", Value::Str(reconfig_step_name(step).into())),
+                    ("step", Value::Str(step.into())),
                     ("index", Value::U64(index as u64)),
                 ]),
             )),
@@ -894,6 +881,13 @@ mod tests {
     }
 
     #[test]
+    fn a_record_is_forty_bytes() {
+        // The ring preallocates `capacity` records (~10 MB at the default
+        // 262,144); a wider event variant would widen every record.
+        assert_eq!(std::mem::size_of::<TraceRecord>(), 40);
+    }
+
+    #[test]
     fn snapshot_export_round_trips() {
         let mut r = TraceRecorder::new(TraceConfig::default());
         r.push_snapshot(WindowSnapshot {
@@ -911,15 +905,5 @@ mod tests {
         let json = serde_json::to_string(&export_snapshots(&r)).unwrap();
         let back: Vec<WindowSnapshot> = serde_json::from_str(&json).unwrap();
         assert_eq!(back, r.snapshots);
-    }
-
-    #[test]
-    fn code_tables_name_every_state() {
-        assert_eq!(lane_state_name(LANE_HEALTHY), "healthy");
-        assert_eq!(lane_state_name(LANE_QUARANTINED), "quarantined");
-        assert_eq!(lane_state_name(LANE_SHADOW), "shadow");
-        assert_eq!(admission_level_name(ADMISSION_NORMAL), "normal");
-        assert_eq!(admission_level_name(ADMISSION_SHED), "shed");
-        assert_eq!(admission_level_name(ADMISSION_REJECT), "reject");
     }
 }

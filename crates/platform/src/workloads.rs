@@ -213,18 +213,6 @@ impl MixSchedule {
             })
             .fold((0.0, 0.0), |(a, b), (c, k)| (a + c, b + k))
     }
-
-    /// All toggle times, sorted — the instants at which pressure changes.
-    pub fn toggle_times(&self) -> Vec<Nanos> {
-        let mut ts: Vec<Nanos> = self
-            .segments
-            .iter()
-            .flat_map(|(_, t)| t.iter().copied())
-            .collect();
-        ts.sort_unstable();
-        ts.dedup();
-        ts
-    }
 }
 
 #[cfg(test)]
@@ -315,9 +303,6 @@ mod tests {
                 .sum::<f64>()
                 + 1e-9
         );
-        // Toggle times sorted and within duration window + one interval.
-        let ts = mix.toggle_times();
-        assert!(ts.windows(2).all(|w| w[0] <= w[1]));
     }
 
     #[test]

@@ -28,9 +28,6 @@ pub trait WcetPredictor: Send {
     /// Records an observed runtime for online adaptation.
     fn observe(&mut self, x: &FeatureVec, runtime_us: f64);
 
-    /// Short model name for reports.
-    fn name(&self) -> &'static str;
-
     /// An interval `(lo, hi)` that contains `predict_us(x)`, for callers
     /// that only compare a runtime against the prediction. Models whose
     /// exact prediction is costly answer from cheaper state; the default
@@ -142,9 +139,6 @@ impl WcetPredictor for FixedPredictor {
         self.wcet_us
     }
     fn observe(&mut self, _x: &FeatureVec, _runtime_us: f64) {}
-    fn name(&self) -> &'static str {
-        "fixed"
-    }
 }
 
 /// Predicts the maximum runtime observed so far (grows monotonically) —
@@ -162,9 +156,6 @@ impl WcetPredictor for MaxObservedPredictor {
         if runtime_us > self.max_us {
             self.max_us = runtime_us;
         }
-    }
-    fn name(&self) -> &'static str {
-        "max_observed"
     }
 }
 
@@ -203,9 +194,6 @@ impl WcetPredictor for InflatedPredictor {
     }
     fn observe(&mut self, x: &FeatureVec, runtime_us: f64) {
         self.inner.observe(x, runtime_us);
-    }
-    fn name(&self) -> &'static str {
-        "inflated_fallback"
     }
 }
 

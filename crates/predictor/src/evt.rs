@@ -80,10 +80,6 @@ impl WcetPredictor for PwcetEvt {
             self.wcet_us = Self::estimate(self.window.samples(), self.confidence, self.block);
         }
     }
-
-    fn name(&self) -> &'static str {
-        "pwcet_evt"
-    }
 }
 
 #[cfg(test)]

@@ -137,10 +137,6 @@ impl WcetPredictor for GradientBoosting {
         let r = runtime_us - self.mean_us(x);
         self.residuals.push(r);
     }
-
-    fn name(&self) -> &'static str {
-        "gradient_boosting"
-    }
 }
 
 #[cfg(test)]

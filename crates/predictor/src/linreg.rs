@@ -84,10 +84,6 @@ impl WcetPredictor for LinearRegression {
         let r = runtime_us - self.mean_us(x);
         self.residuals.push(r);
     }
-
-    fn name(&self) -> &'static str {
-        "linear_regression"
-    }
 }
 
 #[cfg(test)]

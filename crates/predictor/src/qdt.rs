@@ -149,10 +149,6 @@ impl WcetPredictor for QuantileDecisionTree {
         self.leaves[leaf].push(runtime_us);
     }
 
-    fn name(&self) -> &'static str {
-        "quantile_dt"
-    }
-
     fn route(&self, x: &FeatureVec) -> Option<usize> {
         Some(self.tree.leaf_of(x))
     }

@@ -218,17 +218,6 @@ impl CellInstance {
     pub fn is_active(&self) -> bool {
         self.lifecycle == CellLifecycle::Active
     }
-
-    /// Boundary time of this cell's slot `k` (its k-th DAG release).
-    pub fn slot_boundary(&self, k: u64) -> Nanos {
-        self.phase + Nanos(self.config.slot_duration().as_nanos() * k)
-    }
-
-    /// Number of whole slots this cell releases within `[phase, horizon)`.
-    pub fn slots_until(&self, horizon: Nanos) -> u64 {
-        let span = horizon.saturating_sub(self.phase).as_nanos();
-        span.div_ceil(self.config.slot_duration().as_nanos())
-    }
 }
 
 #[cfg(test)]
@@ -321,20 +310,5 @@ mod tests {
         assert!(!cell.is_active());
         cell.resume();
         assert!(cell.is_active());
-    }
-
-    #[test]
-    fn slot_boundaries_step_by_slot_duration() {
-        let cfg = CellConfig::tdd_100mhz();
-        let cell = cfg.instance(1, 4);
-        let slot = cfg.slot_duration();
-        assert_eq!(cell.slot_boundary(0), cell.phase);
-        assert_eq!(cell.slot_boundary(3), cell.phase + slot * 3);
-        // A staggered cell still fits `slots_until` whole releases before
-        // the horizon: the partial last slot counts because its boundary
-        // (the release instant) falls inside the horizon.
-        assert_eq!(cell.slots_until(cell.phase + slot * 10), 10);
-        assert_eq!(cell.slots_until(cell.phase + slot * 10 + Nanos(1)), 11);
-        assert_eq!(cell.slots_until(Nanos::ZERO), 0);
     }
 }

@@ -43,10 +43,6 @@ impl PoolScheduler for FlexRanScheduler {
     fn tick(&self) -> Nanos {
         self.tick
     }
-
-    fn name(&self) -> &'static str {
-        "flexran"
-    }
 }
 
 /// The Shenango-variant scheduler of §6.3.
@@ -90,10 +86,6 @@ impl PoolScheduler for ShenangoScheduler {
     fn tick(&self) -> Nanos {
         self.tick
     }
-
-    fn name(&self) -> &'static str {
-        "shenango"
-    }
 }
 
 /// The utilization-based scheduler of §6.3.
@@ -135,10 +127,6 @@ impl PoolScheduler for UtilizationScheduler {
 
     fn tick(&self) -> Nanos {
         self.tick
-    }
-
-    fn name(&self) -> &'static str {
-        "utilization"
     }
 }
 
@@ -197,8 +185,6 @@ mod tests {
     fn utilization_scheduler_tracks_watermarks() {
         let mut s = UtilizationScheduler::new(0.6);
         let d = [DagProgress {
-            cell: 0,
-            arrival: Nanos::ZERO,
             deadline: Nanos::from_millis(2),
             remaining_work: Nanos::from_micros(100),
             remaining_critical_path: Nanos::from_micros(50),
@@ -220,8 +206,6 @@ mod tests {
         // does not grow the pool.
         let mut s = UtilizationScheduler::new(0.6);
         let d = [DagProgress {
-            cell: 0,
-            arrival: Nanos::from_millis(1),
             deadline: Nanos::from_millis(3),
             remaining_work: Nanos::from_millis(2), // a huge burst
             remaining_critical_path: Nanos::from_micros(200),

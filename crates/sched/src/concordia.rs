@@ -123,27 +123,6 @@ impl ConcordiaScheduler {
         };
         Some(demand * self.cfg.core_margin)
     }
-
-    /// Federated demand aggregated per cell, in ascending cell order;
-    /// `None` when any DAG is in the critical stage (whole-pool grab).
-    ///
-    /// This is the multi-cell diagnostic behind Table 2: the pool-level
-    /// allocation is the ceiling of the *sum* over cells, so cells with
-    /// momentarily staggered deadlines share fractional cores that a
-    /// per-cell static partition would have to round up `C` times.
-    pub fn demand_by_cell(&self, view: &PoolView<'_>) -> Option<Vec<(u32, f64)>> {
-        let mut by_cell: std::collections::BTreeMap<u32, f64> = std::collections::BTreeMap::new();
-        for d in view.dags {
-            let demand = self.demand_for_dag(
-                view.now,
-                d.deadline,
-                d.remaining_work,
-                d.remaining_critical_path,
-            )?;
-            *by_cell.entry(d.cell).or_insert(0.0) += demand;
-        }
-        Some(by_cell.into_iter().collect())
-    }
 }
 
 impl PoolScheduler for ConcordiaScheduler {
@@ -206,10 +185,6 @@ impl PoolScheduler for ConcordiaScheduler {
     fn tick(&self) -> Nanos {
         self.cfg.tick
     }
-
-    fn name(&self) -> &'static str {
-        "concordia"
-    }
 }
 
 #[cfg(test)]
@@ -232,8 +207,6 @@ mod tests {
 
     fn dag(deadline_us: u64, work_us: u64, cp_us: u64) -> DagProgress {
         DagProgress {
-            cell: 0,
-            arrival: Nanos::ZERO,
             deadline: Nanos::from_micros(deadline_us),
             remaining_work: Nanos::from_micros(work_us),
             remaining_critical_path: Nanos::from_micros(cp_us),
@@ -394,42 +367,29 @@ mod tests {
         assert!(s.target_cores(&v) <= 2, "disabled detector must not trip");
     }
 
-    fn cell_dag(cell: u32, deadline_us: u64, work_us: u64, cp_us: u64) -> DagProgress {
-        DagProgress {
-            cell,
-            ..dag(deadline_us, work_us, cp_us)
-        }
-    }
-
     #[test]
-    fn demand_by_cell_partitions_the_federated_total() {
-        let s = ConcordiaScheduler::default_paper();
+    fn target_is_the_ceiling_of_the_summed_demands() {
+        // Two heavy DAGs and a light one share one pool-level demand.
         let dags = [
-            cell_dag(0, 1500, 3000, 100),
-            cell_dag(1, 1500, 3000, 100),
-            cell_dag(1, 2000, 100, 60),
+            dag(1500, 3000, 100),
+            dag(1500, 3000, 100),
+            dag(2000, 100, 60),
         ];
-        let v = view(0, &dags, 32);
-        let per_cell = s.demand_by_cell(&v).expect("no critical stage");
-        assert_eq!(per_cell.len(), 2);
-        assert_eq!(per_cell[0].0, 0);
-        assert_eq!(per_cell[1].0, 1);
-        // Cell 1 holds the same heavy DAG as cell 0 plus a light one.
-        assert!(per_cell[1].1 > per_cell[0].1);
-        // The pool-level target is the ceiling of the cross-cell sum.
-        let total: f64 = per_cell.iter().map(|(_, d)| d).sum();
-        let mut sched = ConcordiaScheduler::default_paper();
-        assert_eq!(sched.target_cores(&v), total.ceil() as u32);
-    }
-
-    #[test]
-    fn demand_by_cell_signals_critical_stage() {
         let s = ConcordiaScheduler::default_paper();
-        let dags = [cell_dag(0, 2000, 100, 60), cell_dag(1, 1500, 400, 300)];
-        let mut v = view(1100, &dags, 8);
-        assert_eq!(s.demand_by_cell(&v), None, "cell 1 is critical");
-        v.now = Nanos::ZERO;
-        assert!(s.demand_by_cell(&v).is_some());
+        let total: f64 = dags
+            .iter()
+            .map(|d| {
+                s.demand_for_dag(
+                    Nanos::ZERO,
+                    d.deadline,
+                    d.remaining_work,
+                    d.remaining_critical_path,
+                )
+                .expect("no critical stage")
+            })
+            .sum();
+        let mut sched = ConcordiaScheduler::default_paper();
+        assert_eq!(sched.target_cores(&view(0, &dags, 32)), total.ceil() as u32);
     }
 
     #[test]
@@ -439,13 +399,11 @@ mod tests {
         // instant most of them still have ample slack. This is the
         // statistical-multiplexing effect Table 2 measures end to end.
         let mut aligned = ConcordiaScheduler::default_paper();
-        let a: Vec<DagProgress> = (0..4).map(|c| cell_dag(c, 700, 1200, 100)).collect();
+        let a: Vec<DagProgress> = (0..4).map(|_| dag(700, 1200, 100)).collect();
         let n_aligned = aligned.target_cores(&view(0, &a, 64));
 
         let mut staggered = ConcordiaScheduler::default_paper();
-        let s: Vec<DagProgress> = (0..4)
-            .map(|c| cell_dag(c, 700 + 375 * c as u64, 1200, 100))
-            .collect();
+        let s: Vec<DagProgress> = (0..4).map(|c| dag(700 + 375 * c, 1200, 100)).collect();
         let n_staggered = staggered.target_cores(&view(0, &s, 64));
         assert!(
             n_staggered < n_aligned,

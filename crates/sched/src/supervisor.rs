@@ -43,6 +43,7 @@
 //! advances only through `record` and `end_window`, so a seeded simulation
 //! drives the whole lifecycle byte-reproducibly.
 
+pub use concordia_platform::trace::{AdmissionLevel, LaneState};
 use concordia_predictor::api::{TrainingSample, WcetPredictor};
 use concordia_predictor::replay::ReplayBuffer;
 use concordia_ran::features::FeatureVec;
@@ -115,50 +116,6 @@ impl Default for SupervisorConfig {
             retrain_min_samples: 500,
             shadow_windows: 3,
             online_feed: true,
-        }
-    }
-}
-
-/// Lifecycle state of one per-kind predictor lane.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LaneState {
-    /// The primary model serves; drift detection is armed.
-    Healthy,
-    /// The fallback serves; the primary awaits enough fresh replay data.
-    Quarantined,
-    /// The fallback serves; the re-fitted primary is shadow-evaluated.
-    Shadow,
-}
-
-impl LaneState {
-    /// Stable display name for reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            LaneState::Healthy => "healthy",
-            LaneState::Quarantined => "quarantined",
-            LaneState::Shadow => "shadow",
-        }
-    }
-}
-
-/// Overload admission level, most permissive first.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum AdmissionLevel {
-    /// Everything is admitted.
-    Normal,
-    /// Best-effort work is shed (the colocated workloads are throttled).
-    Shed,
-    /// New slot-DAG admissions are rejected with a backpressure signal.
-    Reject,
-}
-
-impl AdmissionLevel {
-    /// Stable display name for reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            AdmissionLevel::Normal => "normal",
-            AdmissionLevel::Shed => "shed",
-            AdmissionLevel::Reject => "reject",
         }
     }
 }
@@ -611,9 +568,6 @@ mod tests {
             self.wcet
         }
         fn observe(&mut self, _x: &FeatureVec, _runtime_us: f64) {}
-        fn name(&self) -> &'static str {
-            "one_leaf"
-        }
         fn route(&self, _x: &FeatureVec) -> Option<usize> {
             Some(0)
         }

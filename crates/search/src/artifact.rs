@@ -10,16 +10,14 @@
 //!
 //! Artifacts are user-editable JSON (tweaking a severity by hand is a
 //! normal debugging move), so [`ReproArtifact::from_json`] validates the
-//! payload semantically — version, dimensions, fault-spec ranges, plan
-//! steps — and rejects nonsense with a typed [`ArtifactError`] instead of
-//! feeding it to the simulator.
+//! payload semantically — version, then [`Scenario::validate`] against the
+//! base configuration — and rejects nonsense with a typed
+//! [`ArtifactError`] instead of feeding it to the simulator.
 
 use crate::oracle::{evaluate_scenarios, Oracle, Verdict};
-use crate::scenario::Scenario;
+use crate::scenario::{InvalidScenario, Scenario};
 use concordia_core::config::SimConfig;
-use concordia_core::reconfig::ReconfigPlanError;
 use concordia_core::runner::BatchEval;
-use concordia_platform::faults::FaultPlanError;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -77,8 +75,8 @@ impl ReproArtifact {
         Ok(artifact)
     }
 
-    /// Semantic validation: version, scenario dimensions, fault-spec
-    /// ranges, reconfiguration-plan steps.
+    /// Semantic validation: version, then the scenario against the base
+    /// configuration it replays on.
     pub fn validate(&self) -> Result<(), ArtifactError> {
         if self.format_version != ARTIFACT_VERSION {
             return Err(ArtifactError::Version {
@@ -86,31 +84,9 @@ impl ReproArtifact {
                 expected: ARTIFACT_VERSION,
             });
         }
-        let sc = &self.scenario;
-        if sc.n_cells == 0 {
-            return Err(ArtifactError::Scenario("n_cells must be at least 1".into()));
-        }
-        if sc.cores == 0 {
-            return Err(ArtifactError::Scenario("cores must be at least 1".into()));
-        }
-        if sc.duration.as_nanos() == 0 {
-            return Err(ArtifactError::Scenario("duration must be positive".into()));
-        }
-        if !sc.load.is_finite() || sc.load <= 0.0 {
-            return Err(ArtifactError::Scenario(format!(
-                "load {} is not a positive finite fraction",
-                sc.load
-            )));
-        }
-        sc.faults.validate().map_err(ArtifactError::Faults)?;
-        if let Some(plan) = &sc.reconfig {
-            plan.validate().map_err(ArtifactError::Plan)?;
-        }
-        if let Some(w) = &sc.workload {
-            w.validate()
-                .map_err(|e| ArtifactError::Scenario(format!("workload: {e}")))?;
-        }
-        Ok(())
+        self.scenario
+            .validate(self.base.scenario.as_ref())
+            .map_err(ArtifactError::Scenario)
     }
 }
 
@@ -126,12 +102,8 @@ pub enum ArtifactError {
         /// Version this build reads.
         expected: u32,
     },
-    /// A scenario dimension is out of range.
-    Scenario(String),
-    /// A fault spec is invalid.
-    Faults(FaultPlanError),
-    /// A reconfiguration step is invalid.
-    Plan(ReconfigPlanError),
+    /// The scenario is invalid.
+    Scenario(InvalidScenario),
 }
 
 impl fmt::Display for ArtifactError {
@@ -142,9 +114,7 @@ impl fmt::Display for ArtifactError {
                 f,
                 "artifact format version {found} (this build reads {expected})"
             ),
-            ArtifactError::Scenario(e) => write!(f, "scenario out of range: {e}"),
-            ArtifactError::Faults(e) => write!(f, "fault plan invalid: {e}"),
-            ArtifactError::Plan(e) => write!(f, "reconfiguration plan invalid: {e}"),
+            ArtifactError::Scenario(e) => e.fmt(f),
         }
     }
 }
@@ -261,13 +231,34 @@ mod tests {
         let mut a = artifact();
         a.scenario.faults.specs[0].max_severity = 1e9;
         let err = ReproArtifact::from_json(&a.to_canonical_json()).expect_err("severity");
-        assert!(matches!(err, ArtifactError::Faults(_)), "{err}");
+        assert!(
+            matches!(err, ArtifactError::Scenario(InvalidScenario::Faults(_))),
+            "{err}"
+        );
 
         // A zero-core pool resize.
         let mut a = artifact();
         a.scenario.reconfig = Some(ReconfigPlan::new(vec![ReconfigStep::GrowPool { cores: 0 }]));
         let err = ReproArtifact::from_json(&a.to_canonical_json()).expect_err("plan");
-        assert!(matches!(err, ArtifactError::Plan(_)), "{err}");
+        assert!(
+            matches!(err, ArtifactError::Scenario(InvalidScenario::Plan(_))),
+            "{err}"
+        );
+
+        // A scenario without a workload of its own replays the base's:
+        // an out-of-range base workload is rejected too.
+        let mut a = artifact();
+        a.scenario.workload = None;
+        let mut mmtc = concordia_core::ScenarioSpec::named("mmtc_background").unwrap();
+        if let concordia_core::ScenarioKind::MmtcBackground(m) = &mut mmtc.kind {
+            m.period_slots = 0;
+        }
+        a.base.scenario = Some(mmtc);
+        let err = ReproArtifact::from_json(&a.to_canonical_json()).expect_err("base workload");
+        assert!(
+            matches!(err, ArtifactError::Scenario(InvalidScenario::Workload(_))),
+            "{err}"
+        );
     }
 
     #[test]

@@ -8,13 +8,11 @@
 //! simulator run instead of a whole search phase.
 //!
 //! Like repro artifacts, corpus files are user-editable JSON, so
-//! [`parse_corpus`] validates every scenario semantically (dimensions,
-//! fault-spec ranges, plan steps) and rejects nonsense with a typed
+//! [`parse_corpus`] validates every scenario semantically
+//! ([`Scenario::validate`]) and rejects nonsense with a typed
 //! [`CorpusError`] instead of feeding it to the simulator.
 
-use crate::scenario::Scenario;
-use concordia_core::reconfig::ReconfigPlanError;
-use concordia_platform::faults::FaultPlanError;
+use crate::scenario::{InvalidScenario, Scenario};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -48,40 +46,13 @@ pub fn parse_corpus(json: &str) -> Result<Vec<Scenario>, CorpusError> {
             expected: CORPUS_VERSION,
         });
     }
-    for (i, sc) in file.scenarios.iter().enumerate() {
-        validate_scenario(sc).map_err(|e| e.at(i))?;
+    // The search's base configuration, whose workload a scenario without
+    // one runs, was validated where it was loaded.
+    for (index, sc) in file.scenarios.iter().enumerate() {
+        sc.validate(None)
+            .map_err(|err| CorpusError::Scenario { index, err })?;
     }
     Ok(file.scenarios)
-}
-
-fn validate_scenario(sc: &Scenario) -> Result<(), CorpusError> {
-    let bad = |msg: String| CorpusError::Scenario { index: 0, msg };
-    if sc.n_cells == 0 {
-        return Err(bad("n_cells must be at least 1".into()));
-    }
-    if sc.cores == 0 {
-        return Err(bad("cores must be at least 1".into()));
-    }
-    if sc.duration.as_nanos() == 0 {
-        return Err(bad("duration must be positive".into()));
-    }
-    if !sc.load.is_finite() || sc.load <= 0.0 {
-        return Err(bad(format!(
-            "load {} is not a positive finite fraction",
-            sc.load
-        )));
-    }
-    sc.faults
-        .validate()
-        .map_err(|e| CorpusError::Faults { index: 0, err: e })?;
-    if let Some(w) = &sc.workload {
-        w.validate().map_err(|e| bad(format!("workload: {e}")))?;
-    }
-    if let Some(plan) = &sc.reconfig {
-        plan.validate()
-            .map_err(|e| CorpusError::Plan { index: 0, err: e })?;
-    }
-    Ok(())
 }
 
 /// Why an externally-supplied corpus file was rejected.
@@ -96,38 +67,13 @@ pub enum CorpusError {
         /// Version this build reads.
         expected: u32,
     },
-    /// A scenario dimension is out of range.
+    /// A scenario is invalid.
     Scenario {
         /// Index of the offending scenario in the file.
         index: usize,
-        /// What is out of range.
-        msg: String,
+        /// Why it is invalid.
+        err: InvalidScenario,
     },
-    /// A fault spec is invalid.
-    Faults {
-        /// Index of the offending scenario in the file.
-        index: usize,
-        /// The underlying fault-plan error.
-        err: FaultPlanError,
-    },
-    /// A reconfiguration step is invalid.
-    Plan {
-        /// Index of the offending scenario in the file.
-        index: usize,
-        /// The underlying plan error.
-        err: ReconfigPlanError,
-    },
-}
-
-impl CorpusError {
-    fn at(self, i: usize) -> CorpusError {
-        match self {
-            CorpusError::Scenario { msg, .. } => CorpusError::Scenario { index: i, msg },
-            CorpusError::Faults { err, .. } => CorpusError::Faults { index: i, err },
-            CorpusError::Plan { err, .. } => CorpusError::Plan { index: i, err },
-            other => other,
-        }
-    }
 }
 
 impl fmt::Display for CorpusError {
@@ -138,18 +84,7 @@ impl fmt::Display for CorpusError {
                 f,
                 "corpus format version {found} (this build reads {expected})"
             ),
-            CorpusError::Scenario { index, msg } => {
-                write!(f, "corpus scenario #{index} out of range: {msg}")
-            }
-            CorpusError::Faults { index, err } => {
-                write!(f, "corpus scenario #{index} fault plan invalid: {err}")
-            }
-            CorpusError::Plan { index, err } => {
-                write!(
-                    f,
-                    "corpus scenario #{index} reconfiguration plan invalid: {err}"
-                )
-            }
+            CorpusError::Scenario { index, err } => write!(f, "corpus scenario #{index}: {err}"),
         }
     }
 }

@@ -16,12 +16,13 @@
 //! meaning.
 
 use concordia_core::config::SimConfig;
-use concordia_core::reconfig::{ReconfigPlan, ReconfigStep};
-use concordia_core::ScenarioSpec;
-use concordia_platform::faults::{FaultKind, FaultPlan, FaultSpec};
+use concordia_core::reconfig::{ReconfigPlan, ReconfigPlanError, ReconfigStep};
+use concordia_core::{ScenarioError, ScenarioSpec};
+use concordia_platform::faults::{FaultKind, FaultPlan, FaultPlanError, FaultSpec};
 use concordia_ran::time::Nanos;
 use concordia_stats::rng::Rng;
 use serde::{Deserialize, Serialize};
+use std::fmt;
 
 /// One fully-resolved point in the adversarial search space.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -68,6 +69,40 @@ impl Scenario {
             scenario: self.workload.clone().or_else(|| base.scenario.clone()),
             ..base.clone()
         }
+    }
+
+    /// Semantic validation of a scenario read from outside the program
+    /// (repro artifacts and corpus files are user-editable JSON):
+    /// dimensions, fault-spec ranges, plan steps, and the workload
+    /// [`Scenario::apply`] will run. `base` is the workload of the
+    /// configuration the scenario applies to, which runs when the
+    /// scenario carries none of its own; `None` when that configuration
+    /// was validated where it was loaded.
+    pub fn validate(&self, base: Option<&ScenarioSpec>) -> Result<(), InvalidScenario> {
+        let bad = |msg: &str| Err(InvalidScenario::Dimension(msg.to_string()));
+        if self.n_cells == 0 {
+            return bad("n_cells must be at least 1");
+        }
+        if self.cores == 0 {
+            return bad("cores must be at least 1");
+        }
+        if self.duration.as_nanos() == 0 {
+            return bad("duration must be positive");
+        }
+        if !self.load.is_finite() || self.load <= 0.0 {
+            return bad(&format!(
+                "load {} is not a positive finite fraction",
+                self.load
+            ));
+        }
+        self.faults.validate().map_err(InvalidScenario::Faults)?;
+        if let Some(plan) = &self.reconfig {
+            plan.validate().map_err(InvalidScenario::Plan)?;
+        }
+        if let Some(w) = self.workload.as_ref().or(base) {
+            w.validate().map_err(InvalidScenario::Workload)?;
+        }
+        Ok(())
     }
 
     /// The scenario's position in the shrink order.
@@ -141,6 +176,32 @@ impl Scenario {
         )
     }
 }
+
+/// Why [`Scenario::validate`] rejected a scenario.
+#[derive(Debug, Clone, PartialEq)]
+pub enum InvalidScenario {
+    /// A dimension (cells, cores, duration, load) is out of range.
+    Dimension(String),
+    /// A fault spec is invalid.
+    Faults(FaultPlanError),
+    /// A reconfiguration step is invalid.
+    Plan(ReconfigPlanError),
+    /// The workload the scenario would run is invalid.
+    Workload(ScenarioError),
+}
+
+impl fmt::Display for InvalidScenario {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            InvalidScenario::Dimension(e) => write!(f, "scenario out of range: {e}"),
+            InvalidScenario::Faults(e) => write!(f, "fault plan invalid: {e}"),
+            InvalidScenario::Plan(e) => write!(f, "reconfiguration plan invalid: {e}"),
+            InvalidScenario::Workload(e) => write!(f, "workload invalid: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for InvalidScenario {}
 
 /// Lexicographic shrink order over scenarios: structure first (fault
 /// windows, plan steps), then time (run length, total fault exposure),

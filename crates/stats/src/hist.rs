@@ -1,56 +1,8 @@
-//! Histograms.
+//! The power-of-two histogram.
 //!
 //! [`Log2Histogram`] reproduces the bucket layout of the paper's Fig. 10
 //! (scheduling latency in 0–1, 2–3, 4–7, 8–15, … µs buckets — i.e. powers of
-//! two), and [`Histogram`] is a plain fixed-width histogram used for traffic
-//! and latency distributions.
-
-/// Fixed-width histogram over `[lo, hi)` with values outside clamped into the
-/// first/last bucket.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    lo: f64,
-    width: f64,
-    counts: Vec<u64>,
-    total: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `buckets` equal-width buckets over `[lo, hi)`.
-    pub fn new(lo: f64, hi: f64, buckets: usize) -> Self {
-        assert!(hi > lo && buckets > 0);
-        Histogram {
-            lo,
-            width: (hi - lo) / buckets as f64,
-            counts: vec![0; buckets],
-            total: 0,
-        }
-    }
-
-    /// Records one observation (clamped into range).
-    pub fn record(&mut self, x: f64) {
-        let idx = ((x - self.lo) / self.width).floor();
-        let idx = idx.clamp(0.0, (self.counts.len() - 1) as f64) as usize;
-        self.counts[idx] += 1;
-        self.total += 1;
-    }
-
-    /// Per-bucket counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Total observations.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// `[lo, hi)` bounds of bucket `i`.
-    pub fn bucket_bounds(&self, i: usize) -> (f64, f64) {
-        let lo = self.lo + self.width * i as f64;
-        (lo, lo + self.width)
-    }
-}
+//! two).
 
 /// Power-of-two bucketed histogram over non-negative integers, matching the
 /// `runqlat`-style output the paper shows in Fig. 10: bucket `k` covers
@@ -142,17 +94,6 @@ impl Log2Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn linear_histogram_buckets() {
-        let mut h = Histogram::new(0.0, 10.0, 5);
-        for x in [0.0, 1.9, 2.0, 9.9, 100.0, -5.0] {
-            h.record(x);
-        }
-        assert_eq!(h.total(), 6);
-        assert_eq!(h.counts(), &[3, 1, 0, 0, 2]);
-        assert_eq!(h.bucket_bounds(1), (2.0, 4.0));
-    }
 
     #[test]
     fn log2_bucket_of_matches_runqlat_layout() {

@@ -7,10 +7,10 @@
 //! The modules map one-to-one onto the statistical machinery the paper uses:
 //!
 //! * [`rng`] — seedable PRNG and the distributions the simulators draw from
-//!   (uniform, normal, lognormal, exponential, Pareto, mixtures).
+//!   (uniform, normal, lognormal, exponential, Pareto).
 //! * [`summary`] — Welford online moments, exact quantiles, empirical CDFs.
-//! * [`hist`] — linear and log2-bucketed histograms (Fig. 10 of the paper
-//!   reports scheduling latency in 0–1/2–3/4–7/… µs buckets).
+//! * [`hist`] — the log2-bucketed histogram (Fig. 10 of the paper reports
+//!   scheduling latency in 0–1/2–3/4–7/… µs buckets).
 //! * [`tests`] — two-sample Kolmogorov–Smirnov test (used in §4.1 to show
 //!   interference changes runtime distributions) and the Wasserstein-1
 //!   distance (used in Fig. 7b to rank distorted leaves).
@@ -37,7 +37,7 @@ pub mod tests;
 
 pub use dcor::distance_correlation;
 pub use evt::GumbelFit;
-pub use hist::{Histogram, Log2Histogram};
+pub use hist::Log2Histogram;
 pub use linalg::Matrix;
 pub use ring::MaxRingBuffer;
 pub use rng::Rng;

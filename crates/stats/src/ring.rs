@@ -116,16 +116,6 @@ impl MaxRingBuffer {
         self.head = 0;
         self.max_idx = usize::MAX;
     }
-
-    /// Replaces the contents with (at most the last `capacity` of) `xs`,
-    /// used when seeding leaves from offline training samples.
-    pub fn fill_from(&mut self, xs: &[f64]) {
-        self.clear();
-        let start = xs.len().saturating_sub(self.capacity);
-        for &x in &xs[start..] {
-            self.push(x);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -208,17 +198,6 @@ mod tests {
         }
         assert_eq!(r.quantile(0.5), Some(3.0));
         assert_eq!(r.mean(), Some(3.0));
-    }
-
-    #[test]
-    fn fill_from_truncates_to_capacity() {
-        let mut r = MaxRingBuffer::new(3);
-        r.fill_from(&[1.0, 2.0, 3.0, 4.0, 5.0]);
-        assert_eq!(r.len(), 3);
-        assert_eq!(r.max(), Some(5.0));
-        let mut s = r.samples().to_vec();
-        s.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        assert_eq!(s, vec![3.0, 4.0, 5.0]);
     }
 
     #[test]

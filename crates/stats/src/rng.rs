@@ -190,30 +190,6 @@ impl Rng {
     }
 }
 
-/// A two-component mixture of lognormals: the workhorse noise model for task
-/// runtimes under interference — a well-behaved body plus a heavier tail,
-/// matching the "heavier-tailed but same region" observation of Fig. 7b.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LognormalMixture {
-    /// Probability of drawing from the tail component.
-    pub tail_prob: f64,
-    /// Body component (mu, sigma) of the underlying normal.
-    pub body: (f64, f64),
-    /// Tail component (mu, sigma) of the underlying normal.
-    pub tail: (f64, f64),
-}
-
-impl LognormalMixture {
-    /// Draws one sample.
-    pub fn sample(&self, rng: &mut Rng) -> f64 {
-        if rng.chance(self.tail_prob) {
-            rng.lognormal(self.tail.0, self.tail.1)
-        } else {
-            rng.lognormal(self.body.0, self.body.1)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -343,18 +319,5 @@ mod tests {
         let mut sorted = xs.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn lognormal_mixture_tail_heavier() {
-        let mix = LognormalMixture {
-            tail_prob: 0.1,
-            body: (0.0, 0.1),
-            tail: (1.0, 0.3),
-        };
-        let mut r = Rng::new(14);
-        let xs: Vec<f64> = (0..50_000).map(|_| mix.sample(&mut r)).collect();
-        let over2 = xs.iter().filter(|&&x| x > 2.0).count() as f64 / xs.len() as f64;
-        assert!(over2 > 0.05 && over2 < 0.15, "tail mass {over2}");
     }
 }

@@ -120,9 +120,6 @@ impl WcetPredictor for OneLeaf {
         self.wcet_us
     }
     fn observe(&mut self, _x: &FeatureVec, _runtime_us: f64) {}
-    fn name(&self) -> &'static str {
-        "one_leaf"
-    }
     fn route(&self, _x: &FeatureVec) -> Option<usize> {
         Some(0)
     }

@@ -135,18 +135,22 @@ fn chrome_export_is_valid_and_monotone_per_track() {
 
 #[test]
 fn report_trace_summary_matches_the_recorder() {
-    let mut cfg = workout(3);
-    cfg.trace = Some(TraceConfig {
-        capacity: 4096, // small ring: force drops so the counter is live
-        snapshot_slots: 50,
-    });
-    let (report, rec) = Simulation::new(cfg).run_traced();
-    let rec = rec.unwrap();
-    let summary = report.trace.expect("traced run reports a summary");
-    assert_eq!(summary, rec.summary());
-    assert_eq!(summary.capacity, 4096);
-    assert_eq!(
-        summary.events_recorded,
-        rec.len() as u64 + summary.events_dropped
-    );
+    // 500 slots of 0.5 ms: one snapshot per 50 slots, none at period 0.
+    for (snapshot_slots, snapshots) in [(50, 10), (0, 0)] {
+        let mut cfg = workout(3);
+        cfg.trace = Some(TraceConfig {
+            capacity: 4096, // small ring: force drops so the counter is live
+            snapshot_slots,
+        });
+        let (report, rec) = Simulation::new(cfg).run_traced();
+        let rec = rec.unwrap();
+        let summary = report.trace.expect("traced run reports a summary");
+        assert_eq!(summary, rec.summary());
+        assert_eq!(summary.capacity, 4096);
+        assert_eq!(summary.snapshots, snapshots, "period {snapshot_slots}");
+        assert_eq!(
+            summary.events_recorded,
+            rec.len() as u64 + summary.events_dropped
+        );
+    }
 }
