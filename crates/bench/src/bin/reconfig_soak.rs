@@ -24,9 +24,7 @@
 
 use concordia_bench::{banner, jobs_from_args, write_json, Gate, RunLength};
 use concordia_core::runner::{BatchEval, ParallelEval};
-use concordia_core::{
-    search_safe_order, ExperimentReport, ReconfigPlan, ReconfigStep, SearchConfig, SimConfig,
-};
+use concordia_core::{search_safe_order, ExperimentReport, ReconfigPlan, ReconfigStep, SimConfig};
 use concordia_platform::faults::{FaultKind, FaultPlan};
 use concordia_ran::Nanos;
 
@@ -136,7 +134,7 @@ fn main() {
     );
 
     // ---- 2. Safe-order search over the same steps. -------------------
-    let search = search_safe_order(&base, &plan, SearchConfig::default(), &mut eval);
+    let search = search_safe_order(&base, &plan, &mut eval);
     println!(
         "\nsearch: {} evaluations, naive feasible {}, safe order {:?}",
         search.evaluations, search.naive_feasible, search.safe_order

@@ -4,11 +4,11 @@
 //! mixed workload (1.15×10⁸–2.0×10⁸ scheduling events) and reports that
 //! "no performance or reliability differences were observed between the
 //! long and the short tests". This harness runs the same mixed-workload
-//! soak for as long as you ask (default 60 s simulated; pass a number of
-//! seconds as the first positional argument) and reports reliability at
-//! 10-second checkpoints so drift would be visible.
+//! soak for as long as you ask (`--secs N` simulated seconds, default 60)
+//! and reports each configuration's reliability and p99.999 latency, to
+//! compare against a short run of the same configuration.
 //!
-//! Example: `cargo run --release -p concordia-bench --bin reliability_soak -- 300`
+//! Example: `cargo run --release -p concordia-bench --bin reliability_soak -- --secs 300`
 
 use concordia_bench::{banner, quantile_or_nan, write_json};
 use concordia_core::{Colocation, SimConfig, Simulation};
@@ -26,10 +26,7 @@ struct SoakRow {
 }
 
 fn main() {
-    let secs: u64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(60);
+    let secs = concordia_bench::u64_flag("--secs", 60);
     let seed = concordia_bench::seed_from_args();
     banner(
         "Reliability soak (mixed workload, long run)",

@@ -31,8 +31,7 @@ pub use concordia_traffic::scenario::{
 pub use config::{Colocation, PredictorChoice, SchedulerChoice, SimConfig};
 pub use profile::{OfflineCache, OfflinePhases};
 pub use reconfig::{
-    search_safe_order, InvariantConfig, ReconfigPlan, ReconfigPlanError, ReconfigStep,
-    SearchConfig, SearchReport,
+    search_safe_order, InvariantConfig, ReconfigPlan, ReconfigPlanError, ReconfigStep, SearchReport,
 };
 pub use report::{
     fnv1a_hex, ExperimentReport, FaultReport, FaultWindowReport, ReconfigReport, WorkloadReport,

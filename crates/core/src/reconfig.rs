@@ -529,28 +529,14 @@ impl ReconfigEngine {
     }
 }
 
-/// Safe-order search configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SearchConfig {
-    /// Greedy repair rounds: each round moves the first failing step to
-    /// every later position and keeps the best candidate.
-    pub greedy_rounds: usize,
-    /// Seeded random permutations tried after greedy repair fails.
-    pub random_tries: usize,
-    /// Seed for the random-permutation phase (independent of the
-    /// simulation seed).
-    pub seed: u64,
-}
-
-impl Default for SearchConfig {
-    fn default() -> Self {
-        SearchConfig {
-            greedy_rounds: 4,
-            random_tries: 8,
-            seed: 0x5EA2C,
-        }
-    }
-}
+/// Greedy repair rounds of [`search_safe_order`]: each round moves the
+/// first failing step to every later position and keeps the best candidate.
+const GREEDY_ROUNDS: usize = 4;
+/// Seeded random permutations tried after greedy repair fails.
+const RANDOM_TRIES: usize = 8;
+/// Seed for the random-permutation phase (independent of the simulation
+/// seed).
+const SEARCH_SEED: u64 = 0x5EA2C;
 
 /// One evaluated step order.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -589,7 +575,7 @@ pub struct SearchReport {
 /// flattened bisection over insertion points); if greedy repair dries up,
 /// fall back to seeded random permutations. Candidates are evaluated via
 /// `eval`, which returns results in input order regardless of its worker
-/// count, so the outcome is a pure function of `(base, plan, cfg)`. Every
+/// count, so the outcome is a pure function of `(base, plan)`. Every
 /// candidate shares the base's offline inputs, so a [`ParallelEval`]
 /// selects features once for the whole search.
 ///
@@ -597,7 +583,6 @@ pub struct SearchReport {
 pub fn search_safe_order(
     base: &SimConfig,
     plan: &ReconfigPlan,
-    cfg: SearchConfig,
     eval: &mut dyn BatchEval,
 ) -> SearchReport {
     let n = plan.steps.len();
@@ -655,7 +640,7 @@ pub fn search_safe_order(
 
     // Greedy repair: the first step that failed to commit is the earliest
     // trouble spot; try deferring it to every later position.
-    for _ in 0..cfg.greedy_rounds {
+    for _ in 0..GREEDY_ROUNDS {
         let fail_pos = (current.committed_steps as usize).min(n - 1);
         let mut candidates: Vec<Vec<usize>> = Vec::new();
         for target in fail_pos + 1..n {
@@ -690,8 +675,8 @@ pub fn search_safe_order(
 
     // Random phase: seeded Fisher–Yates shuffles, evaluated in one batch.
     let mut candidates: Vec<Vec<usize>> = Vec::new();
-    for i in 0..cfg.random_tries {
-        let mut rng = Rng::new(derive_seed(cfg.seed, i as u64));
+    for i in 0..RANDOM_TRIES {
+        let mut rng = Rng::new(derive_seed(SEARCH_SEED, i as u64));
         let mut order: Vec<usize> = (0..n).collect();
         rng.shuffle(&mut order);
         if seen.insert(order.clone()) {
@@ -796,7 +781,7 @@ mod tests {
         let base = SimConfig::paper_20mhz();
         let plan = ReconfigPlan::new(Vec::new());
         let mut eval = crate::runner::ParallelEval::new(1);
-        let r = search_safe_order(&base, &plan, SearchConfig::default(), &mut eval);
+        let r = search_safe_order(&base, &plan, &mut eval);
         assert!(r.naive_feasible);
         assert_eq!(r.safe_order, Some(Vec::new()));
         assert_eq!(r.evaluations, 0);

@@ -563,9 +563,10 @@ impl Simulation {
                         }
                     }
                     match self.supervisor.as_mut() {
-                        // The supervisor records every observation: replay,
-                        // drift statistics, shadow scoring, and (when its
-                        // online feed is on) the serving model's adaptation.
+                        // The supervisor records every observation: drift
+                        // counters while healthy, replay and shadow scoring
+                        // while off the primary, and (when its online feed
+                        // is on) the serving model's adaptation.
                         Some(sup) => sup.record(obs.kind.index(), &obs.features, obs.runtime_us),
                         None if self.cfg.online_updates => {
                             self.bank.observe(obs.kind, &obs.features, obs.runtime_us);

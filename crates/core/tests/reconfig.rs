@@ -7,7 +7,7 @@
 
 use concordia_core::{
     run_experiment, search_safe_order, ExperimentReport, ParallelEval, ReconfigPlan, ReconfigStep,
-    SearchConfig, SimConfig,
+    SimConfig,
 };
 use concordia_platform::faults::{FaultKind, FaultPlan};
 use concordia_ran::time::Nanos;
@@ -121,18 +121,8 @@ fn searcher_finds_an_order_and_is_jobs_invariant() {
         ReconfigStep::ShrinkPool { cores: 3 },
         ReconfigStep::GrowPool { cores: 2 },
     ]);
-    let serial = search_safe_order(
-        &cfg,
-        &plan,
-        SearchConfig::default(),
-        &mut ParallelEval::new(1),
-    );
-    let parallel = search_safe_order(
-        &cfg,
-        &plan,
-        SearchConfig::default(),
-        &mut ParallelEval::new(4),
-    );
+    let serial = search_safe_order(&cfg, &plan, &mut ParallelEval::new(1));
+    let parallel = search_safe_order(&cfg, &plan, &mut ParallelEval::new(4));
     assert!(!serial.naive_feasible, "naive order should starve the pool");
     assert_eq!(
         serial.safe_order,

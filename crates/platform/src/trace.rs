@@ -14,24 +14,28 @@
 //! ## Determinism contract
 //!
 //! Recording must never perturb the simulation: [`TraceRecorder::record`]
-//! touches no RNG stream, schedules no event and allocates nothing once the
-//! ring is warm ([`TraceEvent`] is `Copy`; the buffer is preallocated at
-//! construction). A run with tracing enabled therefore produces a report
-//! byte-identical to the same seed with tracing disabled — the
-//! `trace_overhead` bench and CI enforce this.
+//! touches no RNG stream, schedules no event and allocates nothing for a
+//! task-level record once the ring is warm ([`TraceEvent`] is `Copy`; the
+//! buffer is preallocated at construction). A run with tracing enabled
+//! therefore produces a report byte-identical to the same seed with
+//! tracing disabled — the `trace_overhead` bench and CI enforce this.
 //!
 //! When the ring is full the *oldest* record is overwritten and a dropped
-//! counter is bumped; the exported trace is the most recent
-//! `capacity`-record suffix of the run, which is exactly what post-mortem
-//! debugging of a late deadline miss needs.
+//! counter is bumped, so the ring holds the most recent `capacity` records
+//! of the run, which is exactly what post-mortem debugging of a late
+//! deadline miss needs. The records whose count is bounded by decision
+//! windows, fault windows or plan steps rather than by tasks (lane
+//! transitions, admission changes, fault start and end, pool resizes and
+//! reconfiguration steps) are also kept in a side list, so the export
+//! holds every one of them however long the run.
 //!
 //! ## Exporters
 //!
 //! * [`export_chrome_trace`] — Chrome trace-event JSON (the
 //!   `{"traceEvents": [...]}` form), loadable in Perfetto / `chrome://tracing`.
 //!   One track per core plus dedicated scheduler, supervisor, accelerator
-//!   and fault-timeline tracks. Records are emitted in ring order (time
-//!   order), so per-track timestamps are monotone by construction.
+//!   and fault-timeline tracks. Records are emitted in recording order
+//!   (time order), so per-track timestamps are monotone by construction.
 //! * [`export_snapshots`] — the flat per-window metrics snapshots
 //!   ([`WindowSnapshot`]) as a JSON array, for spreadsheet-style analysis.
 
@@ -279,6 +283,26 @@ pub enum TraceEvent {
     },
 }
 
+impl TraceEvent {
+    /// `true` for the events whose count is bounded by decision windows,
+    /// fault windows or plan steps, which the recorder keeps even after
+    /// the ring overwrites them. The per-injection
+    /// [`TraceEvent::AdmissionReject`] is not one of them.
+    fn outlives_the_ring(&self) -> bool {
+        matches!(
+            self,
+            TraceEvent::LaneTransition { .. }
+                | TraceEvent::Admission { .. }
+                | TraceEvent::FaultStart { .. }
+                | TraceEvent::FaultEnd { .. }
+                | TraceEvent::PoolResize { .. }
+                | TraceEvent::ReconfigApply { .. }
+                | TraceEvent::ReconfigCommit { .. }
+                | TraceEvent::ReconfigRollback { .. }
+        )
+    }
+}
+
 /// One timestamped record in the ring.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceRecord {
@@ -320,7 +344,8 @@ pub struct WindowSnapshot {
 pub struct TraceSummary {
     /// Total events recorded (kept + dropped).
     pub events_recorded: u64,
-    /// Events overwritten after the ring filled.
+    /// Events overwritten after the ring filled (the side list still
+    /// exports the window-, fault- and step-level ones among them).
     pub events_dropped: u64,
     /// Ring capacity.
     pub capacity: u64,
@@ -337,6 +362,9 @@ pub struct TraceRecorder {
     head: usize,
     dropped: u64,
     capacity: usize,
+    /// Every record whose event outlives the ring, with its sequence
+    /// number (its position among all records of the run).
+    kept: Vec<(u64, TraceRecord)>,
     snapshots: Vec<WindowSnapshot>,
 }
 
@@ -349,15 +377,19 @@ impl TraceRecorder {
             head: 0,
             dropped: 0,
             capacity,
+            kept: Vec::new(),
             snapshots: Vec::new(),
         }
     }
 
-    /// Records one event at simulation time `t`. O(1), allocation-free
-    /// (the ring was preallocated), RNG-free.
+    /// Records one event at simulation time `t`. O(1), RNG-free, and
+    /// allocation-free for task-level events (the ring was preallocated).
     #[inline]
     pub fn record(&mut self, t: Nanos, ev: TraceEvent) {
         let rec = TraceRecord { t, ev };
+        if ev.outlives_the_ring() {
+            self.kept.push((self.buf.len() as u64 + self.dropped, rec));
+        }
         if self.buf.len() < self.capacity {
             self.buf.push(rec);
         } else {
@@ -375,11 +407,15 @@ impl TraceRecorder {
         self.snapshots.push(snap);
     }
 
-    /// Records currently held, oldest first.
+    /// Every record the recorder still holds, oldest first: the kept
+    /// records the ring has overwritten, then the ring's own.
     pub fn iter(&self) -> impl Iterator<Item = &TraceRecord> {
-        self.buf[self.head..]
+        let overwritten = self.kept.partition_point(|&(seq, _)| seq < self.dropped);
+        self.kept[..overwritten]
             .iter()
-            .chain(self.buf[..self.head].iter())
+            .map(|(_, rec)| rec)
+            .chain(&self.buf[self.head..])
+            .chain(&self.buf[..self.head])
     }
 
     /// Records currently in the ring.
@@ -486,8 +522,8 @@ fn counter(name: &str, tid: u32, t: Nanos, args: Value) -> Value {
 /// Exports the recorder as Chrome trace-event JSON (a [`Value`] tree; call
 /// `serde_json::to_string` on it). Loadable in Perfetto: one track per
 /// core, plus scheduler / supervisor / accelerator / fault-timeline tracks.
-/// Events are emitted in ring (time) order, so per-track timestamps are
-/// monotone; the per-window snapshots ride along under a
+/// Events are emitted in recording (time) order, so per-track timestamps
+/// are monotone; the per-window snapshots ride along under a
 /// `concordiaSnapshots` key that trace viewers ignore.
 pub fn export_chrome_trace(rec: &TraceRecorder) -> Value {
     let mut events: Vec<Value> = Vec::new();
@@ -748,12 +784,22 @@ mod tests {
             snapshot_slots: 0,
         });
         for i in 0..10u64 {
-            r.record(Nanos(i), ev(i as u32));
+            let e = match i {
+                0 => TraceEvent::Admission {
+                    level: AdmissionLevel::Shed,
+                },
+                1 => TraceEvent::AdmissionReject { dags: 1 },
+                9 => TraceEvent::ReconfigCommit { index: 0 },
+                _ => ev(i as u32),
+            };
+            r.record(Nanos(i), e);
         }
         assert_eq!(r.len(), 4);
         assert_eq!(r.dropped(), 6);
+        // The overwritten admission change is still yielded, the
+        // per-injection reject is not, and the commit in the ring once.
         let times: Vec<u64> = r.iter().map(|rec| rec.t.as_nanos()).collect();
-        assert_eq!(times, vec![6, 7, 8, 9]);
+        assert_eq!(times, vec![0, 6, 7, 8, 9]);
         let s = r.summary();
         assert_eq!(s.events_recorded, 10);
         assert_eq!(s.events_dropped, 6);

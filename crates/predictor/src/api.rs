@@ -176,11 +176,6 @@ impl InflatedPredictor {
             factor: factor.max(1.0),
         }
     }
-
-    /// The inflation factor.
-    pub fn factor(&self) -> f64 {
-        self.factor
-    }
 }
 
 impl WcetPredictor for InflatedPredictor {
@@ -260,7 +255,6 @@ mod tests {
         assert_eq!(p.predict_us(&X), 0.0);
         p.observe(&X, 100.0);
         assert_eq!(p.predict_us(&X), 150.0);
-        assert_eq!(p.factor(), 1.5);
         // Factors below 1.0 are clamped: the fallback never under-covers
         // its inner model.
         let q = InflatedPredictor::new(Box::new(FixedPredictor { wcet_us: 10.0 }), 0.5);

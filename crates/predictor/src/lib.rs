@@ -15,8 +15,6 @@
 //!   memoized, with an O(1) enclosing interval.
 //! * [`evt`] — conventional single-value pWCET via Gumbel block maxima
 //!   (§6.3, [23]).
-//! * [`replay`] — bounded replay buffer feeding the online-retraining path
-//!   of the predictor control plane.
 
 pub mod api;
 pub mod evt;
@@ -24,7 +22,6 @@ pub mod featsel;
 pub mod gbt;
 pub mod linreg;
 pub mod qdt;
-pub mod replay;
 mod residual;
 pub mod tree;
 
@@ -37,5 +34,4 @@ pub use featsel::{select_features, FeatSelConfig};
 pub use gbt::{GbtConfig, GradientBoosting};
 pub use linreg::LinearRegression;
 pub use qdt::{LeafStatistic, QuantileDecisionTree, LEAF_BUFFER_CAPACITY};
-pub use replay::ReplayBuffer;
 pub use tree::{Tree, TreeConfig};

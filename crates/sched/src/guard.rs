@@ -10,7 +10,12 @@
 //! grows geometrically while the streak continues and decays back toward
 //! 1.0 once the predictor recovers, so a healthy predictor pays nothing.
 
-use concordia_ran::time::Nanos;
+/// Multiplicative step applied per underestimate once engaged.
+const GROWTH: f64 = 1.2;
+/// Hard cap on the inflation factor.
+const CAP: f64 = 4.0;
+/// Per-overestimate decay of the excess inflation toward 1.0.
+const DECAY: f64 = 0.9;
 
 /// Watches prediction errors; inflates predictions after a run of
 /// consecutive underestimates.
@@ -18,12 +23,6 @@ use concordia_ran::time::Nanos;
 pub struct MispredictionGuard {
     /// Consecutive underestimates before inflation engages.
     threshold: u32,
-    /// Multiplicative step applied per underestimate once engaged.
-    growth: f64,
-    /// Hard cap on the inflation factor.
-    cap: f64,
-    /// Per-overestimate decay of the excess inflation toward 1.0.
-    decay: f64,
     streak: u32,
     inflation: f64,
 }
@@ -35,14 +34,10 @@ impl Default for MispredictionGuard {
 }
 
 impl MispredictionGuard {
-    /// Guard tripping after `threshold` consecutive underestimates, with
-    /// default growth/cap/decay.
+    /// Guard tripping after `threshold` consecutive underestimates.
     pub fn new(threshold: u32) -> Self {
         MispredictionGuard {
             threshold: threshold.max(1),
-            growth: 1.2,
-            cap: 4.0,
-            decay: 0.9,
             streak: 0,
             inflation: 1.0,
         }
@@ -60,12 +55,12 @@ impl MispredictionGuard {
         if underestimated {
             self.streak += 1;
             if self.streak >= self.threshold {
-                self.inflation = (self.inflation * self.growth).min(self.cap);
+                self.inflation = (self.inflation * GROWTH).min(CAP);
             }
         } else {
             self.streak = 0;
             // Excess inflation decays geometrically; snap once negligible.
-            self.inflation = 1.0 + (self.inflation - 1.0) * self.decay;
+            self.inflation = 1.0 + (self.inflation - 1.0) * DECAY;
             if self.inflation < 1.001 {
                 self.inflation = 1.0;
             }
@@ -90,15 +85,6 @@ impl MispredictionGuard {
         self.streak = 0;
         self.inflation = 1.0;
     }
-
-    /// Applies the current inflation to a prediction.
-    pub fn apply(&self, wcet: Nanos) -> Nanos {
-        if self.inflation > 1.0 {
-            wcet.scale(self.inflation)
-        } else {
-            wcet
-        }
-    }
 }
 
 #[cfg(test)]
@@ -112,7 +98,6 @@ mod tests {
             g.observe(120.0, 100.0);
         }
         assert_eq!(g.inflation(), 1.0);
-        assert_eq!(g.apply(Nanos::from_micros(50)), Nanos::from_micros(50));
     }
 
     #[test]
@@ -200,18 +185,5 @@ mod tests {
             assert_eq!(a.inflation().to_bits(), b.inflation().to_bits());
             assert_eq!(a.streak(), b.streak());
         }
-    }
-
-    #[test]
-    fn apply_scales_predictions() {
-        let mut g = MispredictionGuard::new(1);
-        for _ in 0..30 {
-            g.observe(100.0, 200.0);
-        }
-        let raw = Nanos::from_micros(100);
-        let inflated = g.apply(raw);
-        assert!(inflated > raw);
-        let expect = raw.scale(g.inflation());
-        assert_eq!(inflated, expect);
     }
 }

@@ -14,21 +14,23 @@
 //!    +------------- shadow gate passed (readmission) --------------+
 //! ```
 //!
-//! * **Drift detection** (Healthy): per-leaf online Welford stats
-//!   ([`concordia_stats::summary::OnlineStats`]) are kept for every
-//!   decision window and tested against per-leaf reference quantiles via
-//!   a rolling quantile-coverage test — if the fraction of a leaf's window
-//!   samples exceeding its reference quantile beats the trip level, the
-//!   leaf (and hence the tree) has drifted. A whole-model coverage test
-//!   (observed runtime > prediction) backs it up for structureless models.
+//! * **Drift detection** (Healthy): each decision window counts, per
+//!   leaf, the samples routed to it, their maximum and how many exceed
+//!   the leaf's reference quantile — a rolling quantile-coverage test: if
+//!   the fraction of a leaf's window samples above its reference beats
+//!   the trip level, the leaf (and hence the tree) has drifted. The
+//!   maximum is what calibration reads. Lanes whose model has no leaves
+//!   count whole-model coverage misses (observed runtime > prediction)
+//!   instead.
 //! * **Quarantine**: after `consecutive_windows` drifted windows the
 //!   serving model is swapped for a conservative fallback (an inflated
 //!   linear model). The swap is generation-counted and committed only
 //!   inside [`PredictorSupervisor::end_window`] — never mid-window — so a
 //!   slot's DAGs are always priced by a single model generation.
 //! * **Online retraining**: the quarantined tree re-fits its leaf
-//!   statistics from a bounded replay buffer of *post-quarantine*
-//!   observations (structure frozen, per §4.2), then shadow-evaluates:
+//!   statistics from a bounded replay of the observations since the
+//!   quarantine (structure frozen, per §4.2), recorded only while the
+//!   lane is off its primary, then shadow-evaluates:
 //!   the fallback keeps serving while the re-fitted model is scored
 //!   against live runtimes. Only after `shadow_windows` consecutive
 //!   windows within the coverage target is it re-admitted (another
@@ -45,11 +47,9 @@
 
 pub use concordia_platform::trace::{AdmissionLevel, LaneState};
 use concordia_predictor::api::{TrainingSample, WcetPredictor};
-use concordia_predictor::replay::ReplayBuffer;
 use concordia_ran::features::FeatureVec;
-use concordia_ran::time::Nanos;
-use concordia_stats::summary::OnlineStats;
 use serde::{Deserialize, Serialize};
+use std::collections::VecDeque;
 
 /// Whole-model coverage trip: fraction of window samples exceeding the
 /// serving prediction.
@@ -59,7 +59,7 @@ const SHIFT_QUANTILE: f64 = 0.95;
 /// Per-leaf trip: fraction of a leaf's window samples above its reference
 /// quantile.
 const SHIFT_EXCEED_TRIP: f64 = 0.5;
-/// Replay-buffer capacity per lane.
+/// Replay capacity per lane: a refit reads the newest this many samples.
 const REPLAY_CAPACITY: usize = 8_192;
 /// Shadow gate: maximum miss rate (actual > predicted) per window.
 const SHADOW_MISS_RATE: f64 = 0.02;
@@ -143,6 +143,25 @@ pub struct SupervisorCounters {
     pub rejected_dags: u64,
 }
 
+/// One leaf's samples in the current window: what calibration and the
+/// per-leaf drift test read.
+#[derive(Clone, Copy)]
+struct LeafWindow {
+    count: u64,
+    /// Largest runtime (`-inf` before the first sample).
+    max: f64,
+    /// Samples above the leaf's reference quantile.
+    exceed: u64,
+}
+
+impl LeafWindow {
+    const EMPTY: LeafWindow = LeafWindow {
+        count: 0,
+        max: f64::NEG_INFINITY,
+        exceed: 0,
+    };
+}
+
 /// One per-kind predictor lane.
 struct Lane {
     primary: Box<dyn WcetPredictor>,
@@ -152,11 +171,11 @@ struct Lane {
     generation: u64,
     /// Per-leaf reference quantiles (training-time, raised by calibration).
     leaf_ref: Vec<f64>,
-    /// Per-leaf Welford stats for the current window.
-    win_stats: Vec<OnlineStats>,
-    /// Per-leaf count of window samples above the reference quantile.
-    win_exceed: Vec<u64>,
-    /// Whole-model window counters: observations and coverage misses.
+    /// Per-leaf window samples, one entry per reference quantile.
+    win_leaf: Vec<LeafWindow>,
+    /// Whole-model window counters: observations, and coverage misses
+    /// (counted only when the model has no leaves, the one case whose
+    /// drift test reads them).
     win_total: u64,
     win_miss: u64,
     /// Consecutive drifted windows.
@@ -166,17 +185,18 @@ struct Lane {
     shadow_miss: u64,
     /// Consecutive passing shadow windows.
     shadow_pass: u32,
-    replay: ReplayBuffer,
+    /// The newest [`REPLAY_CAPACITY`] samples since the last quarantine,
+    /// oldest first. Recorded only while the lane is off its primary: the
+    /// quarantine clears it before any refit could read a healthy sample.
+    replay: VecDeque<TrainingSample>,
+    /// Samples recorded since the last quarantine (exceeds the replay's
+    /// length once the oldest are evicted).
+    replay_pushed: u64,
 }
 
 impl Lane {
     fn reset_window(&mut self) {
-        for s in &mut self.win_stats {
-            *s = OnlineStats::new();
-        }
-        for e in &mut self.win_exceed {
-            *e = 0;
-        }
+        self.win_leaf.fill(LeafWindow::EMPTY);
         self.win_total = 0;
         self.win_miss = 0;
         self.shadow_total = 0;
@@ -195,9 +215,9 @@ impl Lane {
     /// colocation interference sits above it, and without this step every
     /// healthy window would look drifted.
     fn calibrate(&mut self, margin: f64) {
-        for (leaf, st) in self.win_stats.iter().enumerate() {
-            if st.count() > 0 {
-                let online_ref = st.max() * margin;
+        for (leaf, w) in self.win_leaf.iter().enumerate() {
+            if w.count > 0 {
+                let online_ref = w.max * margin;
                 if online_ref > self.leaf_ref[leaf] {
                     self.leaf_ref[leaf] = online_ref;
                 }
@@ -218,9 +238,9 @@ impl Lane {
             // but the reference does not) and to the calibration offset
             // (references were raised to the healthy online regime, the
             // raw predictions were not).
-            for (leaf, st) in self.win_stats.iter().enumerate() {
-                if st.count() >= cfg.leaf_min_samples {
-                    let rate = self.win_exceed[leaf] as f64 / st.count() as f64;
+            for w in &self.win_leaf {
+                if w.count >= cfg.leaf_min_samples {
+                    let rate = w.exceed as f64 / w.count as f64;
                     if rate > SHIFT_EXCEED_TRIP {
                         return true;
                     }
@@ -297,15 +317,15 @@ impl PredictorSupervisor {
             state: LaneState::Healthy,
             generation: 0,
             leaf_ref,
-            win_stats: (0..n).map(|_| OnlineStats::new()).collect(),
-            win_exceed: vec![0; n],
+            win_leaf: vec![LeafWindow::EMPTY; n],
             win_total: 0,
             win_miss: 0,
             drift_streak: 0,
             shadow_total: 0,
             shadow_miss: 0,
             shadow_pass: 0,
-            replay: ReplayBuffer::new(REPLAY_CAPACITY),
+            replay: VecDeque::new(),
+            replay_pushed: 0,
         });
     }
 
@@ -330,11 +350,6 @@ impl PredictorSupervisor {
         self.lanes[lane]
             .as_ref()
             .map(|l| l.serving().predict_bounds(x))
-    }
-
-    /// Serving prediction as a duration.
-    pub fn predict(&self, lane: usize, x: &FeatureVec) -> Option<Nanos> {
-        self.predict_us(lane, x).map(Nanos::from_micros_f64)
     }
 
     /// The lane's serving-model generation. Bumped only by `end_window`.
@@ -385,27 +400,31 @@ impl PredictorSupervisor {
         }
     }
 
-    /// Records one observed `(features, runtime)` pair for the lane:
-    /// replay, drift statistics, shadow evaluation, and (when
-    /// `online_feed`) the serving model's own online adaptation. Never
-    /// swaps the serving model.
+    /// Records one observed `(features, runtime)` pair for the lane: the
+    /// drift counters while healthy, the replay (and, in Shadow, the
+    /// shadow score) while off the primary, and (when `online_feed`) the
+    /// serving model's own online adaptation. Never swaps the serving
+    /// model.
     pub fn record(&mut self, lane: usize, x: &FeatureVec, runtime_us: f64) {
         let online = self.cfg.online_feed;
         let Some(l) = self.lanes[lane].as_mut() else {
             return;
         };
-        l.replay.push(TrainingSample { x: *x, runtime_us });
         match l.state {
             LaneState::Healthy => {
                 l.win_total += 1;
-                if runtime_us > l.primary.predict_us(x) {
-                    l.win_miss += 1;
-                }
-                if let Some(leaf) = l.primary.route(x) {
-                    if leaf < l.win_stats.len() {
-                        l.win_stats[leaf].push(runtime_us);
+                if l.leaf_ref.is_empty() {
+                    if runtime_us > l.primary.predict_us(x) {
+                        l.win_miss += 1;
+                    }
+                } else if let Some(leaf) = l.primary.route(x) {
+                    if let Some(w) = l.win_leaf.get_mut(leaf) {
+                        w.count += 1;
+                        if runtime_us > w.max {
+                            w.max = runtime_us;
+                        }
                         if runtime_us > l.leaf_ref[leaf] {
-                            l.win_exceed[leaf] += 1;
+                            w.exceed += 1;
                         }
                     }
                 }
@@ -413,19 +432,21 @@ impl PredictorSupervisor {
                     l.primary.observe(x, runtime_us);
                 }
             }
-            LaneState::Quarantined => {
-                if online {
-                    l.fallback.observe(x, runtime_us);
+            LaneState::Quarantined | LaneState::Shadow => {
+                if l.state == LaneState::Shadow {
+                    // Score the frozen re-fitted primary against live
+                    // runtimes *before* any update, so the gate judges the
+                    // re-fit itself rather than a moving target.
+                    l.shadow_total += 1;
+                    if runtime_us > l.primary.predict_us(x) {
+                        l.shadow_miss += 1;
+                    }
                 }
-            }
-            LaneState::Shadow => {
-                // Score the frozen re-fitted primary against live runtimes
-                // *before* any update, so the gate judges the re-fit
-                // itself rather than a moving target.
-                l.shadow_total += 1;
-                if runtime_us > l.primary.predict_us(x) {
-                    l.shadow_miss += 1;
+                if l.replay.len() == REPLAY_CAPACITY {
+                    l.replay.pop_front();
                 }
+                l.replay.push_back(TrainingSample { x: *x, runtime_us });
+                l.replay_pushed += 1;
                 if online {
                     l.fallback.observe(x, runtime_us);
                 }
@@ -462,6 +483,7 @@ impl PredictorSupervisor {
                             l.generation += 1;
                             l.drift_streak = 0;
                             l.replay.clear();
+                            l.replay_pushed = 0;
                             self.counters.quarantines += 1;
                             self.counters.swaps += 1;
                             if self.first_quarantine_window.is_none() {
@@ -473,15 +495,14 @@ impl PredictorSupervisor {
                     }
                 }
                 LaneState::Quarantined => {
-                    if l.replay.pushed() >= cfg.retrain_min_samples {
-                        let samples = l.replay.chronological();
-                        if l.primary.refit(&samples) {
-                            l.state = LaneState::Shadow;
-                            l.shadow_pass = 0;
-                            self.counters.retrains += 1;
-                        }
-                        // A refit-incapable primary stays quarantined on
-                        // the fallback forever — safe, just pessimistic.
+                    // A refit-incapable primary stays quarantined on the
+                    // fallback forever — safe, just pessimistic.
+                    if l.replay_pushed >= cfg.retrain_min_samples
+                        && l.primary.refit(l.replay.make_contiguous())
+                    {
+                        l.state = LaneState::Shadow;
+                        l.shadow_pass = 0;
+                        self.counters.retrains += 1;
                     }
                 }
                 LaneState::Shadow => {
@@ -496,9 +517,7 @@ impl PredictorSupervisor {
                                 l.state = LaneState::Healthy;
                                 l.generation += 1;
                                 l.leaf_ref = l.primary.reference_quantiles(SHIFT_QUANTILE);
-                                let n = l.leaf_ref.len();
-                                l.win_stats = (0..n).map(|_| OnlineStats::new()).collect();
-                                l.win_exceed = vec![0; n];
+                                l.win_leaf = vec![LeafWindow::EMPTY; l.leaf_ref.len()];
                                 l.drift_streak = 0;
                                 self.counters.readmissions += 1;
                                 self.counters.swaps += 1;
@@ -554,6 +573,7 @@ mod tests {
     use concordia_predictor::LinearRegression;
     use concordia_ran::features::NUM_FEATURES;
     use concordia_stats::rng::Rng;
+    use std::sync::{Arc, Mutex};
 
     const X: FeatureVec = [0.0; NUM_FEATURES];
 
@@ -671,32 +691,6 @@ mod tests {
         assert!(sup.take_guard_reset());
         assert!(!sup.take_guard_reset()); // consumed
         assert_eq!(sup.windows_to_readmission(), Some(3));
-    }
-
-    #[test]
-    fn shadow_gate_rejects_an_undershooting_refit() {
-        let mut sup = PredictorSupervisor::new(test_cfg(), 1);
-        sup.install(
-            0,
-            Box::new(OneLeaf { wcet: 100.0 }),
-            Box::new(FixedPredictor { wcet_us: 500.0 }),
-        );
-        feed(&mut sup, 0, 80.0, 20);
-        sup.end_window(20, 0); // calibration
-        for _ in 0..2 {
-            feed(&mut sup, 0, 200.0, 20);
-            sup.end_window(20, 0);
-        }
-        assert_eq!(sup.lane_state(0), Some(LaneState::Quarantined));
-        feed(&mut sup, 0, 200.0, 35);
-        sup.end_window(35, 0);
-        assert_eq!(sup.lane_state(0), Some(LaneState::Shadow));
-        // The regime shifts again above the refit (wcet = 200): gate fails.
-        feed(&mut sup, 0, 300.0, 20);
-        sup.end_window(20, 0);
-        assert_eq!(sup.lane_state(0), Some(LaneState::Quarantined));
-        assert_eq!(sup.counters().shadow_rejections, 1);
-        assert_eq!(sup.generation(0), 1); // no swap on a failed gate
     }
 
     #[test]
@@ -850,6 +844,84 @@ mod tests {
         }
         let c = sup.counters();
         assert!(c.quarantines >= 1 && c.retrains >= 1, "{c:?}");
+    }
+
+    /// [`OneLeaf`] that also logs the runtimes of every refit it gets.
+    struct RefitLog {
+        model: OneLeaf,
+        refits: Arc<Mutex<Vec<Vec<f64>>>>,
+    }
+
+    impl WcetPredictor for RefitLog {
+        fn predict_us(&self, x: &FeatureVec) -> f64 {
+            self.model.predict_us(x)
+        }
+        fn observe(&mut self, _x: &FeatureVec, _runtime_us: f64) {}
+        fn route(&self, x: &FeatureVec) -> Option<usize> {
+            self.model.route(x)
+        }
+        fn refit(&mut self, samples: &[TrainingSample]) -> bool {
+            let runtimes = samples.iter().map(|s| s.runtime_us).collect();
+            self.refits.lock().unwrap().push(runtimes);
+            self.model.refit(samples)
+        }
+        fn reference_quantiles(&self, q: f64) -> Vec<f64> {
+            self.model.reference_quantiles(q)
+        }
+    }
+
+    /// One window of `n` distinct runtimes rising from `from`; returns them.
+    fn window(sup: &mut PredictorSupervisor, from: f64, n: usize) -> Vec<f64> {
+        let runtimes: Vec<f64> = (0..n).map(|i| from + i as f64 * 0.01).collect();
+        for &r in &runtimes {
+            sup.record(0, &X, r);
+        }
+        sup.end_window(n as u64, 0);
+        runtimes
+    }
+
+    #[test]
+    fn a_refit_reads_the_samples_since_quarantine_and_no_healthy_one() {
+        let refits = Arc::new(Mutex::new(Vec::new()));
+        let mut sup = PredictorSupervisor::new(test_cfg(), 1);
+        sup.install(
+            0,
+            Box::new(RefitLog {
+                model: OneLeaf { wcet: 100.0 },
+                refits: Arc::clone(&refits),
+            }),
+            Box::new(FixedPredictor { wcet_us: 500.0 }),
+        );
+        window(&mut sup, 80.0, 20); // calibration
+        window(&mut sup, 200.0, 20); // first drifted window
+        window(&mut sup, 210.0, 20); // drifted, closes with the quarantine
+        assert_eq!(sup.lane_state(0), Some(LaneState::Quarantined));
+
+        let quarantined = window(&mut sup, 300.0, 35);
+        assert_eq!(sup.lane_state(0), Some(LaneState::Shadow));
+        assert_eq!(*refits.lock().unwrap(), vec![quarantined.clone()]);
+
+        // Above the re-fit maximum: the shadow gate fails.
+        let shadow = window(&mut sup, 400.0, 20);
+        assert_eq!(sup.lane_state(0), Some(LaneState::Quarantined));
+        assert_eq!(sup.counters().shadow_rejections, 1);
+        assert_eq!(sup.generation(0), 1); // no swap on a failed gate
+        let requarantined = window(&mut sup, 410.0, 20);
+        assert_eq!(sup.lane_state(0), Some(LaneState::Shadow));
+        let second = [quarantined, shadow, requarantined].concat();
+        assert_eq!(refits.lock().unwrap()[1], second);
+
+        // Readmission, then a second drift: only the samples since the
+        // second quarantine reach the third refit.
+        window(&mut sup, 300.0, 20);
+        window(&mut sup, 300.0, 20);
+        assert_eq!(sup.lane_state(0), Some(LaneState::Healthy));
+        window(&mut sup, 500.0, 20);
+        window(&mut sup, 510.0, 20);
+        assert_eq!(sup.lane_state(0), Some(LaneState::Quarantined));
+        let third = window(&mut sup, 600.0, 35);
+        assert_eq!(sup.counters().retrains, 3);
+        assert_eq!(refits.lock().unwrap()[2], third);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!
 //! * [`rng`] — seedable PRNG and the distributions the simulators draw from
 //!   (uniform, normal, lognormal, exponential, Pareto).
-//! * [`summary`] — Welford online moments, exact quantiles, empirical CDFs.
+//! * [`summary`] — exact quantiles, empirical CDFs, the normal quantile.
 //! * [`hist`] — the log2-bucketed histogram (Fig. 10 of the paper reports
 //!   scheduling latency in 0–1/2–3/4–7/… µs buckets).
 //! * [`tests`] — two-sample Kolmogorov–Smirnov test (used in §4.1 to show
@@ -41,5 +41,5 @@ pub use hist::Log2Histogram;
 pub use linalg::Matrix;
 pub use ring::MaxRingBuffer;
 pub use rng::Rng;
-pub use summary::{quantile, Ecdf, OnlineStats};
+pub use summary::{quantile, Ecdf};
 pub use tests::{ks_two_sample, wasserstein1};

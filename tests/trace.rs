@@ -1,10 +1,15 @@
 //! End-to-end tests of the observability layer: the trace recorder's
 //! zero-perturbation contract, the Chrome trace-event export's structural
-//! validity, and determinism of traced runs — all through the facade.
+//! validity, determinism of traced runs, and the lifecycle and plan events
+//! an overflowing ring must still export — all through the facade.
 
-use concordia::core::{Colocation, SimConfig, Simulation};
+use concordia::core::{
+    Colocation, InvariantConfig, ReconfigPlan, ReconfigStep, SimConfig, Simulation,
+};
 use concordia::platform::faults::{FaultKind, FaultPlan};
-use concordia::platform::trace::{export_chrome_trace, export_snapshots, TraceConfig};
+use concordia::platform::trace::{
+    export_chrome_trace, export_snapshots, TraceConfig, TID_RECONFIG, TID_SUPERVISOR,
+};
 use concordia::platform::workloads::WorkloadKind;
 use concordia::ran::Nanos;
 use concordia::sched::SupervisorConfig;
@@ -153,4 +158,74 @@ fn report_trace_summary_matches_the_recorder() {
             rec.len() as u64 + summary.events_dropped
         );
     }
+}
+
+/// The events a supervisor, a fault timeline and a reconfiguration plan
+/// record a handful of times per run must survive a ring that task
+/// events overflow many times over: the export holds one lane-transition
+/// instant per lifecycle change and one commit instant per committed step.
+#[test]
+fn an_overflowing_ring_keeps_every_lane_transition_and_commit() {
+    let mut cfg = SimConfig::paper_20mhz();
+    cfg.n_cells = 1;
+    cfg.cores = 1;
+    cfg.load = 1.0;
+    cfg.deadline_override = Some(Nanos::from_micros(700));
+    cfg.duration = Nanos::from_secs(2);
+    cfg.faults = FaultPlan::chaos(&[FaultKind::DriftInjection], cfg.duration);
+    cfg.supervisor = Some(SupervisorConfig::default());
+    cfg.reconfig = Some(ReconfigPlan {
+        start_slot: 400,
+        settle_slots: 60,
+        max_retries: 1,
+        backoff_slots: 40,
+        invariants: InvariantConfig {
+            baseline_slots: 200,
+            max_new_violations: 1000,
+            max_guard_inflation: 4.0,
+        },
+        steps: vec![
+            ReconfigStep::GrowPool { cores: 2 },
+            ReconfigStep::AddCell,
+            ReconfigStep::DrainCell { cell: 1 },
+            ReconfigStep::ShrinkPool { cores: 1 },
+            ReconfigStep::Rephase { stagger: true },
+            ReconfigStep::SetDeadline { deadline_us: 1800 },
+        ],
+    });
+    cfg.trace = Some(TraceConfig {
+        capacity: 4096,
+        snapshot_slots: 0,
+    });
+    let (report, rec) = Simulation::new(cfg).run_traced();
+    let rec = rec.unwrap();
+    assert!(
+        report.trace.as_ref().unwrap().events_dropped > 100_000,
+        "the ring must overflow many times over"
+    );
+    let sup = report.supervisor.expect("supervised run");
+    let transitions = sup.quarantines + sup.retrains + sup.shadow_rejections + sup.readmissions;
+    let committed = report.reconfig.expect("plan ran").committed_steps;
+    assert!(transitions > 0 && committed > 0, "{sup:?}");
+
+    let Value::Map(top) = export_chrome_trace(&rec) else {
+        panic!("top level must be an object");
+    };
+    let Value::Seq(events) = map_get(&top, "traceEvents") else {
+        panic!("traceEvents must be an array");
+    };
+    // Instants named `prefix…` on one track.
+    let count = |tid: u32, prefix: &str| {
+        let on_track = |m: &[(String, Value)]| {
+            matches!(map_get(m, "ph"), Value::Str(ph) if ph == "i")
+                && matches!(map_get(m, "tid"), Value::U64(t) if *t == u64::from(tid))
+                && matches!(map_get(m, "name"), Value::Str(n) if n.starts_with(prefix))
+        };
+        events
+            .iter()
+            .filter(|e| matches!(e, Value::Map(m) if on_track(m)))
+            .count() as u64
+    };
+    assert_eq!(count(TID_SUPERVISOR, "lane"), transitions);
+    assert_eq!(count(TID_RECONFIG, "reconfig_commit"), committed);
 }
