@@ -257,7 +257,6 @@ pub(crate) struct SlotObservables {
 struct BaselineTracker {
     window: u64,
     samples: VecDeque<u64>,
-    last: u64,
 }
 
 impl BaselineTracker {
@@ -265,12 +264,10 @@ impl BaselineTracker {
         BaselineTracker {
             window: window.max(1),
             samples: VecDeque::new(),
-            last: 0,
         }
     }
 
     fn push(&mut self, cum_violations: u64) {
-        self.last = cum_violations;
         self.samples.push_back(cum_violations);
         while self.samples.len() as u64 > self.window {
             self.samples.pop_front();
@@ -287,8 +284,10 @@ impl BaselineTracker {
         }
     }
 
+    /// The latest sample, 0 before the first: the window holds at least
+    /// one, so after a push its back is that push.
     fn last(&self) -> u64 {
-        self.last
+        self.samples.back().copied().unwrap_or(0)
     }
 }
 
@@ -326,7 +325,6 @@ pub(crate) struct ReconfigEngine {
     /// simulation continues in its last consistent configuration.
     infeasible: bool,
     invariant_checks: u64,
-    total_rollbacks: u64,
     baseline: BaselineTracker,
 }
 
@@ -355,7 +353,6 @@ impl ReconfigEngine {
             inflight: None,
             infeasible: false,
             invariant_checks: 0,
-            total_rollbacks: 0,
             baseline,
         }
     }
@@ -480,7 +477,6 @@ impl ReconfigEngine {
         });
         self.outcomes[fl.step].rollbacks += 1;
         self.outcomes[fl.step].violation = Some(reason);
-        self.total_rollbacks += 1;
         self.after_failed_attempt(fl.step, slot);
     }
 
@@ -520,7 +516,7 @@ impl ReconfigEngine {
         ReconfigReport {
             steps: self.outcomes.clone(),
             committed_steps,
-            rollbacks: self.total_rollbacks,
+            rollbacks: self.outcomes.iter().map(|o| u64::from(o.rollbacks)).sum(),
             invariant_checks: self.invariant_checks,
             feasible: committed_steps == self.plan.steps.len() as u64,
             final_cells,

@@ -39,21 +39,28 @@ impl Default for FeatSelConfig {
 /// Ranks all features by distance correlation with the runtime, descending.
 /// Returns `(feature index, dcor)` pairs.
 pub fn dcor_ranking(samples: &[TrainingSample], subsample: usize) -> Vec<(usize, f64)> {
+    let (ys, columns) = ranking_columns(samples, subsample);
+    rank(CenteredSample::new(&ys).dcor_columns(&columns))
+}
+
+/// The ranking's subsample: its runtimes, and its feature columns end to
+/// end in feature order.
+fn ranking_columns(samples: &[TrainingSample], subsample: usize) -> (Vec<f64>, Vec<f64>) {
     assert!(samples.len() >= 4, "need samples to rank features");
     let take = samples.len().min(subsample);
     // Deterministic stride subsample (samples are already i.i.d. in time).
     let stride = samples.len() / take;
     let picked: Vec<&TrainingSample> = samples.iter().step_by(stride.max(1)).take(take).collect();
-    let ys: Vec<f64> = picked.iter().map(|s| s.runtime_us).collect();
-    let runtime = CenteredSample::new(&ys);
-    let mut xs = Vec::with_capacity(take);
-    let mut ranking: Vec<(usize, f64)> = (0..NUM_FEATURES)
-        .map(|f| {
-            xs.clear();
-            xs.extend(picked.iter().map(|s| s.x[f]));
-            (f, runtime.dcor(&xs))
-        })
+    let ys = picked.iter().map(|s| s.runtime_us).collect();
+    let columns = (0..NUM_FEATURES)
+        .flat_map(|f| picked.iter().map(move |s| s.x[f]))
         .collect();
+    (ys, columns)
+}
+
+/// Feature indices with their scores, by score descending.
+fn rank(scores: Vec<f64>) -> Vec<(usize, f64)> {
+    let mut ranking: Vec<(usize, f64)> = scores.into_iter().enumerate().collect();
     ranking.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("NaN dcor"));
     ranking
 }
@@ -348,11 +355,17 @@ mod tests {
             let bits = |r: Vec<(usize, f64)>| -> Vec<(usize, u64)> {
                 r.into_iter().map(|(f, d)| (f, d.to_bits())).collect()
             };
+            let want = bits(reference::dcor_ranking(&samples, cfg.dcor_subsample));
             assert_eq!(
                 bits(dcor_ranking(&samples, cfg.dcor_subsample)),
-                bits(reference::dcor_ranking(&samples, cfg.dcor_subsample)),
+                want,
                 "{kind:?} ranking"
             );
+            let (ys, columns) = ranking_columns(&samples, cfg.dcor_subsample);
+            let tiers = CenteredSample::new(&ys).dcor_columns_each_tier(&columns);
+            for (tier, scores) in tiers.into_iter().enumerate() {
+                assert_eq!(bits(rank(scores)), want, "{kind:?} ranking, tier {tier}");
+            }
             assert_eq!(
                 select_features(&samples, &handpicked(kind), &cfg),
                 reference::select_features(&samples, &handpicked(kind), &cfg),

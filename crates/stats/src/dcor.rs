@@ -12,8 +12,20 @@
 //! row means `r` and their grand mean `g` at the point of use, with the
 //! floating-point operations of the textbook matrix form in the same order,
 //! so the result is bit-identical to it for finite inputs.
-//! [`CenteredSample`] holds one side's row means and distance variance, so
-//! scoring many columns against one runtime column centers that column once.
+//! [`CenteredSample`] holds one side's row means and distance variance, and
+//! [`CenteredSample::dcor_columns`] scores many columns against it in one
+//! pass. The columns sit side by side in the lanes of a block: the pass
+//! computes the fixed side's distance once per pair `(i, j)`, in row-major
+//! order, and each lane adds its own column's products to its own sums.
+//! Every lane thus performs the one-column loop's operations in its order,
+//! and vector lanes neither reassociate nor fuse a multiply into an add, so
+//! each score keeps the bits of the matrix form. The pass runs on AVX2
+//! where the host has it, checked at run time, and on the target's
+//! baseline vectors everywhere else.
+
+/// Columns scored side by side in one pass: two AVX2 registers, or four
+/// SSE2 ones, per running sum.
+const LANES: usize = 8;
 
 /// A sample prepared as the fixed side of repeated distance correlations:
 /// the row means of its distance matrix, their grand mean, and its
@@ -34,9 +46,9 @@ impl<'a> CenteredSample<'a> {
         assert!(n >= 2, "dcor needs at least 2 observations");
         let (row_means, grand) = distance_row_means(values);
         let mut dvar = 0.0;
-        for i in 0..n {
-            for j in 0..n {
-                let b = centered(values, &row_means, grand, i, j);
+        for (&yi, &ri) in values.iter().zip(&row_means) {
+            for (&yj, &rj) in values.iter().zip(&row_means) {
+                let b = centered(yi, yj, ri, rj, grand);
                 dvar += b * b;
             }
         }
@@ -48,38 +60,64 @@ impl<'a> CenteredSample<'a> {
         }
     }
 
-    /// Distance correlation between `x` and this sample, in `[0, 1]`.
-    ///
-    /// Returns 0 when either sample is constant (no dependence
-    /// detectable); a constant `x` costs O(n). Panics if `x` has a
-    /// different length.
+    /// Distance correlation between `x` and this sample, in `[0, 1]`: one
+    /// column of [`Self::dcor_columns`]. Panics if `x` has a different
+    /// length.
     pub fn dcor(&self, x: &[f64]) -> f64 {
+        assert_eq!(x.len(), self.values.len(), "dcor needs paired samples");
+        self.dcor_columns(x)[0]
+    }
+
+    /// Distance correlation, in `[0, 1]`, between this sample and each
+    /// column of `columns`, which holds them end to end, each as long as
+    /// this sample.
+    ///
+    /// A constant column scores 0 (no dependence detectable) in O(n),
+    /// unless this sample's distance variance is infinite. Panics if
+    /// `columns` does not split into whole columns.
+    pub fn dcor_columns(&self, columns: &[f64]) -> Vec<f64> {
+        self.score(columns, true)
+    }
+
+    /// [`Self::dcor_columns`] on every vector tier this host runs, the
+    /// baseline first: the entry point of the tests that pin each tier to
+    /// the reference estimator, in this crate and in its dependents.
+    #[doc(hidden)]
+    pub fn dcor_columns_each_tier(&self, columns: &[f64]) -> Vec<Vec<f64>> {
+        let baseline = self.score(columns, false);
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") {
+            return vec![baseline, self.score(columns, true)];
+        }
+        vec![baseline]
+    }
+
+    /// Scores `columns`, on AVX2 if `avx2` and the host has it.
+    fn score(&self, columns: &[f64], avx2: bool) -> Vec<f64> {
         let n = self.values.len();
-        assert_eq!(x.len(), n, "dcor needs paired samples");
+        assert_eq!(columns.len() % n, 0, "dcor needs paired samples");
+        let mut scores = vec![0.0; columns.len() / n];
         // Every centered distance of a constant column is exactly +0, so the
         // full pass would score it 0 — unless this side's variance
         // overflowed, where the pass yields NaN and must run.
-        if x.iter().all(|&v| v == x[0]) && self.dvar.is_finite() {
-            return 0.0;
-        }
-        let (row_means, grand) = distance_row_means(x);
-        let mut dcov2 = 0.0;
-        let mut dvarx = 0.0;
-        for i in 0..n {
-            for j in 0..n {
-                let a = centered(x, &row_means, grand, i, j);
-                let b = centered(self.values, &self.row_means, self.grand, i, j);
-                dcov2 += a * b;
-                dvarx += a * a;
+        let (index, live): (Vec<usize>, Vec<&[f64]>) = columns
+            .chunks_exact(n)
+            .enumerate()
+            .filter(|(_, x)| !(x.iter().all(|&v| v == x[0]) && self.dvar.is_finite()))
+            .unzip();
+        let n2 = (n * n) as f64;
+        for (lanes, block) in index.chunks(LANES).zip(live.chunks(LANES)) {
+            let (ab, aa) = block_sums(avx2, self, block);
+            for (lane, &k) in lanes.iter().enumerate() {
+                let denom = (aa[lane] / n2 * self.dvar).sqrt();
+                scores[k] = if denom <= 1e-300 {
+                    0.0
+                } else {
+                    ((ab[lane] / n2).max(0.0) / denom).sqrt().min(1.0)
+                };
             }
         }
-        let n2 = (n * n) as f64;
-        let denom = (dvarx / n2 * self.dvar).sqrt();
-        if denom <= 1e-300 {
-            0.0
-        } else {
-            ((dcov2 / n2).max(0.0) / denom).sqrt().min(1.0)
-        }
+        scores
     }
 }
 
@@ -91,22 +129,91 @@ pub fn distance_correlation(x: &[f64], y: &[f64]) -> f64 {
     CenteredSample::new(y).dcor(x)
 }
 
+/// Per lane, the sums of `a·b` and `a·a` over every pair `(i, j)` in
+/// row-major order, where `b` is `y`'s centered distance and `a` that of
+/// the lane's column, for up to `LANES` columns; on AVX2 if `avx2` and the
+/// host has it.
+fn block_sums(avx2: bool, y: &CenteredSample, columns: &[&[f64]]) -> ([f64; LANES], [f64; LANES]) {
+    #[cfg(target_arch = "x86_64")]
+    if avx2 && is_x86_feature_detected!("avx2") {
+        // SAFETY: the host supports AVX2, as checked just above.
+        return unsafe { block_sums_avx2(y, columns) };
+    }
+    let _ = avx2; // Other targets have one tier.
+    block_sums_body(y, columns)
+}
+
+/// [`block_sums_body`] compiled for AVX2: callable only where the host
+/// has it.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn block_sums_avx2(y: &CenteredSample, columns: &[&[f64]]) -> ([f64; LANES], [f64; LANES]) {
+    block_sums_body(y, columns)
+}
+
+/// The kernel, written once and inlined into each tier.
+#[inline(always)]
+fn block_sums_body(y: &CenteredSample, columns: &[&[f64]]) -> ([f64; LANES], [f64; LANES]) {
+    // The block transposed: row `i` holds every lane's value and row mean.
+    // Lanes without a column hold zeros, and their sums are discarded.
+    let n = y.values.len();
+    let mut x = vec![[0.0; LANES]; n];
+    let mut r = vec![[0.0; LANES]; n];
+    let mut g = [0.0; LANES];
+    for (lane, column) in columns.iter().enumerate() {
+        let (means, grand) = distance_row_means(column);
+        for ((xi, ri), (&v, m)) in x.iter_mut().zip(&mut r).zip(column.iter().zip(means)) {
+            xi[lane] = v;
+            ri[lane] = m;
+        }
+        g[lane] = grand;
+    }
+    let mut ab = [0.0; LANES];
+    let mut aa = [0.0; LANES];
+    let mut b_row = vec![0.0; n];
+    let y_rows = || y.values.iter().zip(&y.row_means);
+    for ((&yi, &ryi), (xi, ri)) in y_rows().zip(x.iter().zip(&r)) {
+        for (b, (&yj, &ryj)) in b_row.iter_mut().zip(y_rows()) {
+            *b = centered(yi, yj, ryi, ryj, y.grand);
+        }
+        for (&b, (xj, rj)) in b_row.iter().zip(x.iter().zip(&r)) {
+            for lane in 0..LANES {
+                let a = centered(xi[lane], xj[lane], ri[lane], rj[lane], g[lane]);
+                ab[lane] += a * b;
+                aa[lane] += a * a;
+            }
+        }
+    }
+    (ab, aa)
+}
+
 /// Row means of the pairwise `|xi - xj|` matrix (which, the matrix being
-/// symmetric, are also its column means) and their grand mean.
+/// symmetric, are also its column means) and their grand mean. Each row
+/// adds its distances in `j` order, as its own `Iterator::sum` would (the
+/// distances are at least +0, so the sum's signed-zero start does not
+/// matter); looping over `j` outside lets the rows advance side by side in
+/// vector lanes.
+#[inline(always)]
 fn distance_row_means(x: &[f64]) -> (Vec<f64>, f64) {
     let n = x.len() as f64;
-    let row_means: Vec<f64> = x
-        .iter()
-        .map(|&xi| x.iter().map(|&xj| (xi - xj).abs()).sum::<f64>() / n)
-        .collect();
+    let mut row_means = vec![0.0; x.len()];
+    for &xj in x {
+        for (sum, &xi) in row_means.iter_mut().zip(x) {
+            *sum += (xi - xj).abs();
+        }
+    }
+    for mean in &mut row_means {
+        *mean /= n;
+    }
     let grand = row_means.iter().sum::<f64>() / n;
     (row_means, grand)
 }
 
-/// Entry `(i, j)` of the double-centered distance matrix of `x`.
+/// Entry `(i, j)` of a double-centered distance matrix, from the sample's
+/// values and row means at `i` and `j` and its grand mean.
 #[inline(always)]
-fn centered(x: &[f64], row_means: &[f64], grand: f64, i: usize, j: usize) -> f64 {
-    (x[i] - x[j]).abs() - (row_means[i] + row_means[j] - grand)
+fn centered(xi: f64, xj: f64, ri: f64, rj: f64, grand: f64) -> f64 {
+    (xi - xj).abs() - (ri + rj - grand)
 }
 
 /// The estimator as first written: both double-centered distance matrices
@@ -256,6 +363,13 @@ mod tests {
         proptest::collection::vec((0u8..6, -1.0e3f64..1.0e3), 2..64)
     }
 
+    /// `n` draws of [`value`].
+    fn draw(rng: &mut Rng, n: usize) -> Vec<f64> {
+        (0..n)
+            .map(|_| value((rng.below(6) as u8, rng.range_f64(-1.0e3, 1.0e3))))
+            .collect()
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -264,32 +378,56 @@ mod tests {
             let n = x.len().min(y.len());
             let x: Vec<f64> = x[..n].iter().copied().map(value).collect();
             let y: Vec<f64> = y[..n].iter().copied().map(value).collect();
-            prop_assert_eq!(
-                distance_correlation(&x, &y).to_bits(),
-                reference::distance_correlation(&x, &y).to_bits()
-            );
+            let want = reference::distance_correlation(&x, &y).to_bits();
+            prop_assert_eq!(distance_correlation(&x, &y).to_bits(), want);
+            for scores in CenteredSample::new(&y).dcor_columns_each_tier(&x) {
+                prop_assert_eq!(scores[0].to_bits(), want);
+            }
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(320))]
 
         #[test]
         fn centered_sample_matches_reference_bits(
-            y in column(),
-            x in column(),
+            len in (0u8..5, 2usize..64, 64usize..801),
+            free in 1usize..LANES + 4,
             fill in (0u8..6, -1.0e3f64..1.0e3),
+            with_nan in 0u8..2,
+            seed in 0u64..u64::MAX,
         ) {
-            let n = x.len().min(y.len());
-            let y: Vec<f64> = y[..n].iter().copied().map(value).collect();
-            let x: Vec<f64> = x[..n].iter().copied().map(value).collect();
-            // A constant column, the same one with its zeros' signs
-            // alternating, a duplicate of the target, and a free column.
+            // One case in five is long, up to 800 like the ranking's
+            // subsample.
+            let n = if len.0 == 0 { len.2 } else { len.1 };
+            let mut rng = Rng::new(seed);
+            let y = draw(&mut rng, n);
+            // Free columns; a constant column, the same one with its sign
+            // alternating, and zeros of random sign; a duplicate of the
+            // target; in half the cases a column with one NaN. Shuffled,
+            // they make calls of 1 to LANES + 6 live columns.
             let c = value(fill);
-            let constant = vec![c; n];
-            let signed: Vec<f64> = (0..n).map(|i| if i % 2 == 0 { c } else { -c }).collect();
+            let mut columns: Vec<Vec<f64>> = (0..free).map(|_| draw(&mut rng, n)).collect();
+            columns.push(vec![c; n]);
+            columns.push((0..n).map(|i| if i % 2 == 0 { c } else { -c }).collect());
+            columns.push((0..n).map(|_| if rng.chance(0.5) { 0.0 } else { -0.0 }).collect());
+            columns.push(y.clone());
+            if with_nan == 1 {
+                let mut x = draw(&mut rng, n);
+                x[rng.below(n as u64) as usize] = f64::NAN;
+                columns.push(x);
+            }
+            rng.shuffle(&mut columns);
+            // The reference scores each column alone, so no lane's score
+            // may depend on its neighbours, the NaN column's included.
+            let want: Vec<u64> = columns
+                .iter()
+                .map(|x| reference::distance_correlation(x, &y).to_bits())
+                .collect();
             let target = CenteredSample::new(&y);
-            for col in [&x, &constant, &signed, &y] {
-                prop_assert_eq!(
-                    target.dcor(col).to_bits(),
-                    reference::distance_correlation(col, &y).to_bits()
-                );
+            for (tier, scores) in target.dcor_columns_each_tier(&columns.concat()).iter().enumerate() {
+                let got: Vec<u64> = scores.iter().map(|s| s.to_bits()).collect();
+                prop_assert!(got == want, "tier {tier}, n {n}: {got:x?} != {want:x?}");
             }
         }
     }

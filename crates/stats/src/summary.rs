@@ -46,16 +46,6 @@ impl Ecdf {
         Ecdf { sorted }
     }
 
-    /// Number of underlying samples.
-    pub fn len(&self) -> usize {
-        self.sorted.len()
-    }
-
-    /// True when built from an empty sample.
-    pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
-    }
-
     /// `F(x)` — fraction of samples `<= x`.
     pub fn eval(&self, x: f64) -> f64 {
         if self.sorted.is_empty() {
@@ -73,11 +63,6 @@ impl Ecdf {
         } else {
             Some(quantile_sorted(&self.sorted, q))
         }
-    }
-
-    /// The underlying sorted samples.
-    pub fn sorted(&self) -> &[f64] {
-        &self.sorted
     }
 }
 
