@@ -122,6 +122,17 @@ fn err<T>(msg: impl Into<String>) -> Result<T, CliError> {
     Err(CliError(msg.into()))
 }
 
+/// A duration read as `value` units of `flag`, refused if its nanosecond
+/// count does not fit the simulated clock.
+fn duration(flag: &str, value: u64, checked: fn(u64) -> Option<Nanos>) -> Result<Nanos, CliError> {
+    checked(value).ok_or_else(|| {
+        CliError(format!(
+            "{flag} {value} is longer than the simulated clock holds ({} s)",
+            u64::MAX / 1_000_000_000
+        ))
+    })
+}
+
 /// Everything the command line resolves to: the experiment configuration,
 /// output paths, and the sweep controls.
 #[derive(Debug)]
@@ -261,7 +272,7 @@ pub fn parse(argv: &[String]) -> Result<Cli, CliError> {
                 if s == 0 {
                     return err("--secs must be positive");
                 }
-                cfg.duration = Nanos::from_secs(s);
+                cfg.duration = duration("--secs", s, Nanos::checked_from_secs)?;
             }
             "--seed" => {
                 cfg.seed = value("--seed")?
@@ -272,7 +283,11 @@ pub fn parse(argv: &[String]) -> Result<Cli, CliError> {
                 let us: u64 = value("--deadline-us")?
                     .parse()
                     .map_err(|_| CliError("--deadline-us must be an integer".into()))?;
-                cfg.deadline_override = Some(Nanos::from_micros(us));
+                if us == 0 {
+                    return err("--deadline-us must be positive");
+                }
+                let deadline = duration("--deadline-us", us, Nanos::checked_from_micros)?;
+                cfg.deadline_override = Some(deadline);
             }
             "--faults" => {
                 let v = value("--faults")?;
@@ -549,7 +564,8 @@ fn parse_scheduler(v: &str) -> Result<SchedulerChoice, CliError> {
         let us: u64 = thr
             .parse()
             .map_err(|_| CliError("shenango:<us> needs an integer".into()))?;
-        return Ok(SchedulerChoice::Shenango(Nanos::from_micros(us)));
+        let threshold = duration("--scheduler shenango:<us>", us, Nanos::checked_from_micros)?;
+        return Ok(SchedulerChoice::Shenango(threshold));
     }
     if let Some(hi) = v.strip_prefix("utilization:") {
         let hi: f64 = hi
@@ -648,6 +664,54 @@ mod tests {
         assert!(parse(&args("--faults meteor_strike")).is_err());
         assert!(parse(&args("--faults ,,")).is_err(), "empty list");
         assert!(parse(&args("--engine wheel")).is_err(), "retired flag");
+    }
+
+    /// The first `u64` count of a unit whose nanoseconds overflow.
+    const SECS_OVERFLOW: u64 = u64::MAX / 1_000_000_000 + 1;
+    const MICROS_OVERFLOW: u64 = u64::MAX / 1_000 + 1;
+
+    #[test]
+    fn secs_past_the_clock_is_refused() {
+        let e = parse(&args(&format!("--secs {SECS_OVERFLOW}"))).unwrap_err();
+        assert_eq!(
+            e,
+            CliError(
+                "--secs 18446744074 is longer than the simulated clock holds (18446744073 s)"
+                    .into()
+            )
+        );
+        let Cli { cfg, .. } = parse(&args(&format!("--secs {}", SECS_OVERFLOW - 1))).unwrap();
+        assert_eq!(cfg.duration, Nanos((SECS_OVERFLOW - 1) * 1_000_000_000));
+    }
+
+    #[test]
+    fn deadline_past_the_clock_is_refused() {
+        let e = parse(&args(&format!("--deadline-us {MICROS_OVERFLOW}"))).unwrap_err();
+        assert!(
+            e.0.starts_with("--deadline-us 18446744073709552 is longer"),
+            "{e:?}"
+        );
+        let Cli { cfg, .. } =
+            parse(&args(&format!("--deadline-us {}", MICROS_OVERFLOW - 1))).unwrap();
+        assert_eq!(
+            cfg.deadline_override,
+            Some(Nanos((MICROS_OVERFLOW - 1) * 1_000))
+        );
+    }
+
+    #[test]
+    fn zero_deadline_is_refused() {
+        let e = parse(&args("--deadline-us 0")).unwrap_err();
+        assert_eq!(e, CliError("--deadline-us must be positive".into()));
+    }
+
+    #[test]
+    fn shenango_threshold_past_the_clock_is_refused() {
+        let e = parse(&args(&format!("--scheduler shenango:{MICROS_OVERFLOW}"))).unwrap_err();
+        assert!(
+            e.0.starts_with("--scheduler shenango:<us> 18446744073709552 is longer"),
+            "{e:?}"
+        );
     }
 
     #[test]

@@ -25,7 +25,7 @@ use concordia_predictor::qdt::QuantileDecisionTree;
 use concordia_predictor::tree::TreeConfig;
 use concordia_ran::cell::CellConfig;
 use concordia_ran::cost::CostModel;
-use concordia_ran::dag::{build_dag, SlotWorkload, UeAlloc};
+use concordia_ran::dag::{build_dag_into, DagScratch, SlotWorkload, UeAlloc};
 use concordia_ran::features::{extract, handpicked};
 use concordia_ran::numerology::SlotDirection;
 use concordia_ran::task::TaskKind;
@@ -109,11 +109,16 @@ pub fn profile(
     let mut rng = Rng::new(seed);
     let mut per_kind: Vec<Vec<TrainingSample>> =
         (0..TaskKind::ALL.len()).map(|_| Vec::new()).collect();
+    // Each slot's DAG is rebuilt into the previous one's node buffer, as
+    // the slot loop does.
+    let mut nodes = Vec::new();
+    let mut scratch = DagScratch::default();
 
     for slot in 0..slots {
         for direction in [SlotDirection::Uplink, SlotDirection::Downlink] {
             let wl = random_workload(cell, direction, &mut rng);
-            let dag = build_dag(cell, 0, slot as u64, Nanos::ZERO, &wl);
+            let buf = std::mem::take(&mut nodes);
+            let dag = build_dag_into(cell, 0, slot as u64, Nanos::ZERO, &wl, buf, &mut scratch);
             let pool_cores = rng.range_u64(1, max_cores.max(1) as u64) as u32;
             for node in &dag.nodes {
                 let mut params = node.task.params;
@@ -124,6 +129,7 @@ pub fn profile(
                     runtime_us: runtime.as_micros_f64(),
                 });
             }
+            nodes = dag.nodes;
         }
         // §7 extension: profile the MAC schedulers too, so the predictor
         // bank covers them when `mac_in_pool` is enabled.
@@ -484,6 +490,7 @@ impl WcetPredictor for OraclePredictor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use concordia_ran::dag::build_dag;
     use concordia_ran::features::{Feature, FeatureVec};
 
     #[test]

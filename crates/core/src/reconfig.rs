@@ -162,7 +162,8 @@ impl ReconfigPlan {
     }
 
     /// Rejects plans whose steps are nonsense regardless of the running
-    /// configuration (zero-core resizes, a zero deadline). Plan files and
+    /// configuration (zero-core resizes, a zero deadline or one longer
+    /// than the simulated clock holds). Plan files and
     /// repro artifacts are user-editable JSON, so this runs on every
     /// externally-loaded plan; configuration-dependent problems (draining
     /// a cell that does not exist) still surface as apply-time rollbacks.
@@ -177,6 +178,11 @@ impl ReconfigPlan {
                 }
                 ReconfigStep::SetDeadline { deadline_us: 0 } => {
                     return Err(ReconfigPlanError::ZeroDeadline { index });
+                }
+                &ReconfigStep::SetDeadline { deadline_us }
+                    if Nanos::checked_from_micros(deadline_us).is_none() =>
+                {
+                    return Err(ReconfigPlanError::DeadlineOverflow { index, deadline_us });
                 }
                 _ => {}
             }
@@ -193,6 +199,8 @@ pub enum ReconfigPlanError {
     ZeroCores { index: usize, step: String },
     /// A zero deadline fails every DAG unconditionally.
     ZeroDeadline { index: usize },
+    /// A deadline whose nanoseconds do not fit the simulated clock.
+    DeadlineOverflow { index: usize, deadline_us: u64 },
 }
 
 impl std::fmt::Display for ReconfigPlanError {
@@ -205,6 +213,13 @@ impl std::fmt::Display for ReconfigPlanError {
                 write!(
                     f,
                     "step #{index} (set_deadline): deadline_us must be positive"
+                )
+            }
+            ReconfigPlanError::DeadlineOverflow { index, deadline_us } => {
+                write!(
+                    f,
+                    "step #{index} (set_deadline): deadline_us {deadline_us} is longer than \
+                     the simulated clock holds"
                 )
             }
         }
@@ -755,6 +770,27 @@ mod tests {
             bad.validate(),
             Err(ReconfigPlanError::ZeroDeadline { index: 0 })
         ));
+        // The largest deadline the clock holds passes; one more overflows.
+        let max_us = u64::MAX / 1_000;
+        let ok = ReconfigPlan::new(vec![ReconfigStep::SetDeadline {
+            deadline_us: max_us,
+        }]);
+        assert!(ok.validate().is_ok());
+        let bad = ReconfigPlan::new(vec![
+            ReconfigStep::AddCell,
+            ReconfigStep::SetDeadline {
+                deadline_us: max_us + 1,
+            },
+        ]);
+        let err = bad.validate().expect_err("overflowing deadline");
+        assert_eq!(
+            err,
+            ReconfigPlanError::DeadlineOverflow {
+                index: 1,
+                deadline_us: max_us + 1
+            }
+        );
+        assert!(err.to_string().contains("step #1"), "{err}");
     }
 
     #[test]

@@ -908,7 +908,10 @@ impl Simulation {
                 if deadline_us == 0 {
                     return Err("set_deadline: zero deadline".to_string());
                 }
-                let (deadline, override_prev) = self.set_deadline(Nanos::from_micros(deadline_us));
+                let Some(deadline) = Nanos::checked_from_micros(deadline_us) else {
+                    return Err("set_deadline: deadline overflows the clock".to_string());
+                };
+                let (deadline, override_prev) = self.set_deadline(deadline);
                 Ok(StepUndo::RestoreDeadline {
                     deadline,
                     override_prev,

@@ -65,27 +65,9 @@ fn rank(scores: Vec<f64>) -> Vec<(usize, f64)> {
     ranking
 }
 
-/// Validation mean-absolute-error of a small tree restricted to `feats`,
-/// fitted from `presort`, a presort of `train_x` covering `feats`.
-fn validation_mae(
-    train_x: &[FeatureVec],
-    train_y: &[f64],
-    val_x: &[FeatureVec],
-    val_y: &[f64],
-    feats: &[usize],
-    presort: &Presort,
-) -> f64 {
-    let cfg = TreeConfig {
-        max_depth: 6,
-        min_leaf: 30,
-        n_thresholds: 8,
-    };
-    let (tree, leaf_samples) = Tree::fit_presorted(train_x, train_y, feats, &cfg, presort);
-    // Leaf means as point predictions.
-    let means: Vec<f64> = leaf_samples
-        .iter()
-        .map(|idxs| idxs.iter().map(|&i| train_y[i]).sum::<f64>() / idxs.len().max(1) as f64)
-        .collect();
+/// Validation mean-absolute-error of `tree`, predicting `means[leaf]`,
+/// its leaves' mean training targets.
+fn validation_mae(tree: &Tree, means: &[f64], val_x: &[FeatureVec], val_y: &[f64]) -> f64 {
     val_x
         .iter()
         .zip(val_y)
@@ -95,7 +77,8 @@ fn validation_mae(
 }
 
 /// Backwards elimination: repeatedly drops the feature whose removal hurts
-/// validation error the least, until `m_final` remain.
+/// validation error the least, until `m_final` remain. Each candidate set
+/// is scored by a small tree; one walk grows a round's candidate trees.
 pub fn backwards_elimination(
     samples: &[TrainingSample],
     mut feats: Vec<usize>,
@@ -109,16 +92,20 @@ pub fn backwards_elimination(
     let train_y: Vec<f64> = samples[..split].iter().map(|s| s.runtime_us).collect();
     let val_x: Vec<FeatureVec> = samples[split..].iter().map(|s| s.x).collect();
     let val_y: Vec<f64> = samples[split..].iter().map(|s| s.runtime_us).collect();
+    let cfg = TreeConfig {
+        max_depth: 6,
+        min_leaf: 30,
+        n_thresholds: 8,
+    };
     // Every candidate set is a subset of the first: one presort serves all
     // the fits.
     let presort = Presort::new(&train_x, &feats);
 
     while feats.len() > m_final {
         let mut best: Option<(usize, f64)> = None; // (position to drop, mae)
-        for pos in 0..feats.len() {
-            let mut reduced = feats.clone();
-            reduced.remove(pos);
-            let mae = validation_mae(&train_x, &train_y, &val_x, &val_y, &reduced, &presort);
+        let candidates = Tree::fit_each_without(&train_x, &train_y, &feats, &cfg, &presort);
+        for (pos, (tree, means)) in candidates.iter().enumerate() {
+            let mae = validation_mae(tree, means, &val_x, &val_y);
             if best.is_none_or(|(_, b)| mae < b) {
                 best = Some((pos, mae));
             }
@@ -186,6 +173,34 @@ mod reference {
         ranking
     }
 
+    /// One round's candidates, `feats` without each of its entries in
+    /// turn, each fitted alone: its tree, leaf means and validation MAE.
+    pub(super) fn round(
+        train_x: &[FeatureVec],
+        train_y: &[f64],
+        val: &[TrainingSample],
+        feats: &[usize],
+        cfg: &TreeConfig,
+    ) -> Vec<(Tree, Vec<f64>, f64)> {
+        (0..feats.len())
+            .map(|pos| {
+                let mut reduced = feats.to_vec();
+                reduced.remove(pos);
+                let (tree, leaves) = reference::fit(train_x, train_y, &reduced, cfg);
+                let means: Vec<f64> = leaves
+                    .iter()
+                    .map(|l| l.iter().map(|&i| train_y[i]).sum::<f64>() / l.len().max(1) as f64)
+                    .collect();
+                let mae = val
+                    .iter()
+                    .map(|s| (means[tree.leaf_of(&s.x)] - s.runtime_us).abs())
+                    .sum::<f64>()
+                    / val.len() as f64;
+                (tree, means, mae)
+            })
+            .collect()
+    }
+
     fn backwards_elimination(
         samples: &[TrainingSample],
         mut feats: Vec<usize>,
@@ -203,19 +218,10 @@ mod reference {
         };
         while feats.len() > cfg.m_final {
             let mut best: Option<(usize, f64)> = None;
-            for pos in 0..feats.len() {
-                let mut reduced = feats.clone();
-                reduced.remove(pos);
-                let (tree, leaves) = reference::fit(&train_x, &train_y, &reduced, &tree_cfg);
-                let means: Vec<f64> = leaves
-                    .iter()
-                    .map(|l| l.iter().map(|&i| train_y[i]).sum::<f64>() / l.len().max(1) as f64)
-                    .collect();
-                let mae = val
-                    .iter()
-                    .map(|s| (means[tree.leaf_of(&s.x)] - s.runtime_us).abs())
-                    .sum::<f64>()
-                    / val.len() as f64;
+            for (pos, (_, _, mae)) in round(&train_x, &train_y, val, &feats, &tree_cfg)
+                .into_iter()
+                .enumerate()
+            {
                 if best.is_none_or(|(_, b)| mae < b) {
                     best = Some((pos, mae));
                 }
@@ -254,7 +260,9 @@ mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tree::tests::{bits, tie_heavy_sample};
     use concordia_stats::rng::Rng;
+    use proptest::prelude::*;
 
     /// Runtime depends on features 0 (linear) and 7 (nonlinear); all others
     /// are noise.
@@ -327,15 +335,72 @@ mod tests {
         assert!(!out.is_empty());
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn round_matches_reference_per_candidate(
+            rows in proptest::collection::vec((0u8..3, 0u8..4, 0.0f64..100.0, -1.0f64..1.0, 0u8..5), 2..160),
+            (min_leaf, max_depth, n_thresholds) in (1usize..40, 0u32..8, 1usize..20),
+            feats in proptest::collection::vec(0usize..5, 2..7),
+            near in 0usize..8,
+            (at, poison) in (0usize..160, 0u8..4),
+        ) {
+            // Half the cases cut the data to within a few samples of
+            // 2·min_leaf, where a node is just big enough to split.
+            let keep = if near % 2 == 0 { (2 * min_leaf + near).saturating_sub(4).max(2) } else { rows.len() };
+            let (xs, mut ys): (Vec<FeatureVec>, Vec<f64>) =
+                rows.iter().take(keep).copied().map(tie_heavy_sample).unzip();
+            // Three cases in four, one target is NaN or infinite.
+            if let Some(&bad) = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY].get(poison as usize) {
+                let i = at % ys.len();
+                ys[i] = bad;
+            }
+            // The samples validate too, in reverse order.
+            let val: Vec<TrainingSample> = xs
+                .iter()
+                .zip(&ys)
+                .rev()
+                .map(|(&x, &runtime_us)| TrainingSample { x, runtime_us })
+                .collect();
+            let (val_x, val_y): (Vec<FeatureVec>, Vec<f64>) = val.iter().map(|s| (s.x, s.runtime_us)).unzip();
+            let cfg = TreeConfig { max_depth, min_leaf, n_thresholds };
+            let grown = Tree::fit_each_without(&xs, &ys, &feats, &cfg, &Presort::new(&xs, &feats));
+            let want = reference::round(&xs, &ys, &val, &feats, &cfg);
+            prop_assert_eq!(grown.len(), want.len());
+            for (c, ((tree, means), (want_tree, want_means, want_mae))) in grown.iter().zip(&want).enumerate() {
+                prop_assert!(bits(tree) == bits(want_tree), "candidate {c}: {tree:?} != {want_tree:?}");
+                let (got, want): (Vec<u64>, Vec<u64>) =
+                    means.iter().zip(want_means).map(|(m, w)| (m.to_bits(), w.to_bits())).unzip();
+                prop_assert!(got == want && means.len() == want_means.len(), "candidate {c}: means {means:?} != {want_means:?}");
+                let mae = validation_mae(tree, means, &val_x, &val_y);
+                prop_assert!(mae.to_bits() == want_mae.to_bits(), "candidate {c}: mae {mae} != {want_mae}");
+            }
+        }
+    }
+
     #[test]
     fn matches_reference_pipeline_on_a_profile() {
         use concordia_core::profile::profile;
         use concordia_ran::cost::CostModel;
-        use concordia_ran::features::handpicked;
-        use concordia_ran::task::TaskKind;
         use concordia_ran::CellConfig;
 
-        let ds = profile(&CellConfig::fdd_20mhz(), &CostModel::new(), 300, 8, 7);
+        // The paper's FDD cell, and a TDD 100 MHz cell at the shape of a
+        // search's evaluations.
+        let fdd = profile(&CellConfig::fdd_20mhz(), &CostModel::new(), 300, 8, 7);
+        let kinds = matches_reference_on(&fdd);
+        assert!(kinds >= 10, "only {kinds} FDD kinds profiled");
+        let tdd = profile(&CellConfig::tdd_100mhz(), &CostModel::new(), 300, 6, 7);
+        let kinds = matches_reference_on(&tdd);
+        assert!(kinds >= 10, "only {kinds} TDD kinds profiled");
+    }
+
+    /// Checks every trained kind of `ds` against the reference pipeline;
+    /// returns how many kinds were trained.
+    fn matches_reference_on(ds: &concordia_core::profile::ProfilingDataset) -> usize {
+        use concordia_ran::features::handpicked;
+        use concordia_ran::task::TaskKind;
+
         let cfg = FeatSelConfig::default();
         let mut kinds = 0;
         for kind in TaskKind::ALL {
@@ -373,6 +438,6 @@ mod tests {
             );
             kinds += 1;
         }
-        assert!(kinds >= 10, "only {kinds} kinds profiled");
+        kinds
     }
 }

@@ -8,6 +8,9 @@
 //! A fit sorts each feature once (`Presort`, shareable across fits on one
 //! training set) and splits a node by stable in-place partitions, so
 //! no node sorts again; the trees are bit-identical to per-node sorting.
+//! Backwards elimination grows a round's candidate trees, each missing one
+//! feature, in one walk that shares every node the candidates agree on
+//! (`Tree::fit_each_without`); each tree is bit-identical to its own fit.
 //!
 //! Trees are stored flattened in a `Vec` for cache-friendly traversal — the
 //! predictor runs every TTI and must be fast (§5 / Fig. 15a).
@@ -94,79 +97,29 @@ impl Tree {
         cfg: &TreeConfig,
         presort: &Presort,
     ) -> (Tree, Vec<Vec<usize>>) {
-        assert_eq!(xs.len(), ys.len());
-        assert!(!xs.is_empty(), "cannot fit a tree on no samples");
-        assert!(!feats.is_empty(), "need at least one feature");
-        let n = xs.len();
-        assert_eq!(presort.n, n, "presort of another training set");
+        let samples = |members: &[u32]| members.iter().map(|&i| i as usize).collect();
+        let mut trees = grow(xs, ys, feats, &[None], cfg, presort, &samples);
+        trees.pop().expect("one candidate")
+    }
 
-        // Every node owns one range of each buffer: its members by value of
-        // `feats[k]` in `sorted[k]`, and by sample id in `members`. A split
-        // partitions the range of each buffer in place, stably, so both
-        // children inherit both orders.
-        let mut sorted: Vec<Vec<u32>> = feats
-            .iter()
-            .map(|&f| {
-                assert_eq!(presort.ids[f].len(), n, "feature {f} not presorted");
-                presort.ids[f].clone()
-            })
-            .collect();
-        let mut members: Vec<u32> = (0..n as u32).collect();
-        let mut scratch: Vec<u32> = Vec::with_capacity(n);
-        let mut goes_left = vec![false; n];
-
-        let mut nodes: Vec<Node> = Vec::new();
-        let mut leaf_samples: Vec<Vec<usize>> = Vec::new();
-        // Stack of (node index to fill, buffer range, depth).
-        nodes.push(Node::Leaf { leaf_id: 0 }); // placeholder for root
-        let mut stack = vec![(0usize, 0..n, 0u32)];
-
-        while let Some((slot, range, depth)) = stack.pop() {
-            let split = if depth < cfg.max_depth && range.len() >= 2 * cfg.min_leaf {
-                best_split(xs, ys, feats, &members, &sorted, range.clone(), cfg)
-            } else {
-                None
-            };
-            match split {
-                Some((feature, threshold)) => {
-                    for &i in &members[range.clone()] {
-                        goes_left[i as usize] = xs[i as usize][feature] <= threshold;
-                    }
-                    let n_left = partition(&mut members[range.clone()], &goes_left, &mut scratch);
-                    for ids in &mut sorted {
-                        partition(&mut ids[range.clone()], &goes_left, &mut scratch);
-                    }
-                    let mid = range.start + n_left;
-                    debug_assert!(n_left >= cfg.min_leaf && range.end - mid >= cfg.min_leaf);
-                    let left = nodes.len() as u32;
-                    let right = left + 1;
-                    nodes.push(Node::Leaf { leaf_id: 0 }); // placeholders
-                    nodes.push(Node::Leaf { leaf_id: 0 });
-                    nodes[slot] = Node::Split {
-                        feature,
-                        threshold,
-                        left,
-                        right,
-                    };
-                    stack.push((left as usize, range.start..mid, depth + 1));
-                    stack.push((right as usize, mid..range.end, depth + 1));
-                }
-                None => {
-                    let leaf_id = leaf_samples.len() as u32;
-                    nodes[slot] = Node::Leaf { leaf_id };
-                    leaf_samples.push(members[range].iter().map(|&i| i as usize).collect());
-                }
-            }
-        }
-
-        (
-            Tree {
-                nodes,
-                n_leaves: leaf_samples.len(),
-                features_used: feats.to_vec(),
-            },
-            leaf_samples,
-        )
+    /// For each position `c` of `feats`, [`Tree::fit_presorted`] on
+    /// `feats` without its entry `c`, with the mean of each leaf's targets
+    /// (added in sample order) in place of its samples: the candidate sets
+    /// of one round of backwards elimination, grown together in one walk.
+    /// Panics on fewer than 2 features.
+    pub(crate) fn fit_each_without(
+        xs: &[FeatureVec],
+        ys: &[f64],
+        feats: &[usize],
+        cfg: &TreeConfig,
+        presort: &Presort,
+    ) -> Vec<(Tree, Vec<f64>)> {
+        assert!(feats.len() >= 2, "every candidate needs a feature");
+        let drops: Vec<Option<usize>> = (0..feats.len()).map(Some).collect();
+        let mean = |members: &[u32]| {
+            members.iter().map(|&i| ys[i as usize]).sum::<f64>() / members.len().max(1) as f64
+        };
+        grow(xs, ys, feats, &drops, cfg, presort, &mean)
     }
 
     /// Leaf id for a feature vector. O(depth).
@@ -237,10 +190,334 @@ impl Presort {
     }
 }
 
+/// A node's split: the position in `feats` of the column it cuts, and its
+/// threshold (`x <= threshold` goes left).
+type Split = (usize, f64);
+
+/// One admissible cut of a column in a node.
+#[derive(Debug, Clone, Copy)]
+struct Cut {
+    sse: f64,
+    thr: f64,
+}
+
+/// What one scan of a column finds in a node. Folding each column's
+/// `first` and then its `best`, in `feats` order, keeping a cut only if
+/// its SSE is strictly below the kept one's, ends where a running fold
+/// over every cut of those columns ends: a NaN SSE never compares below
+/// anything, so that fold keeps a NaN first cut for good and otherwise
+/// ends at the first cut with the smallest SSE.
+#[derive(Debug, Clone, Copy, Default)]
+struct ColumnCuts {
+    /// The first admissible cut.
+    first: Option<Cut>,
+    /// The first cut at the strictly smallest SSE, NaN SSEs aside.
+    best: Option<Cut>,
+}
+
+/// Grows one tree per candidate on `(xs, ys)`: candidate `c` reads every
+/// position of `feats` but `drops[c]`, and no two candidates drop the same
+/// position. Returns each candidate's tree and, per leaf id, what `keep`
+/// makes of the leaf's samples, given in ascending order.
+///
+/// The candidates walk one tree together. A node that several share is
+/// scanned once: each column yields its [`ColumnCuts`], and each
+/// candidate folds those of its own columns. A candidate's split differs
+/// from the others' only if it dropped the column that wins for them, so
+/// all but that one agree: they share the split and its in-place
+/// partition, and the one that differs forks onto a copy of the node's
+/// buffers and grows its subtree there alone. Each candidate's nodes are
+/// numbered as a fit on its features alone numbers them: depth first,
+/// right child first, both child indices taken when the parent splits.
+fn grow<L>(
+    xs: &[FeatureVec],
+    ys: &[f64],
+    feats: &[usize],
+    drops: &[Option<usize>],
+    cfg: &TreeConfig,
+    presort: &Presort,
+    keep: &dyn Fn(&[u32]) -> L,
+) -> Vec<(Tree, Vec<L>)> {
+    assert_eq!(xs.len(), ys.len());
+    assert!(!xs.is_empty(), "cannot fit a tree on no samples");
+    assert!(!feats.is_empty(), "need at least one feature");
+    let n = xs.len();
+    assert_eq!(presort.n, n, "presort of another training set");
+    let mut shared = Buffers {
+        cols: feats
+            .iter()
+            .map(|&f| {
+                assert_eq!(presort.ids[f].len(), n, "feature {f} not presorted");
+                presort.ids[f].clone()
+            })
+            .collect(),
+        members: (0..n as u32).collect(),
+    };
+    // A node of one candidate never forks, so one spare set serves every
+    // fork in turn.
+    let mut spare = (drops.len() > 1).then(|| Buffers {
+        cols: vec![vec![0; n]; feats.len()],
+        members: vec![0; n],
+    });
+    let mut grower = Grower {
+        xs,
+        ys,
+        feats,
+        drops,
+        cfg,
+        keep,
+        trees: (0..drops.len())
+            .map(|_| (vec![Node::Leaf { leaf_id: 0 }], Vec::new()))
+            .collect(),
+        cuts: vec![ColumnCuts::default(); feats.len()],
+        goes_left: vec![false; n],
+        scratch: Vec::with_capacity(n),
+    };
+    let root = Open {
+        range: 0..n,
+        depth: 0,
+        at: (0..drops.len()).map(|c| (c, 0)).collect(),
+    };
+    grower.walk(&mut shared, spare.as_mut(), vec![root]);
+    grower
+        .trees
+        .into_iter()
+        .zip(drops)
+        .map(|((nodes, leaves), &drop)| {
+            let features_used = (0..feats.len())
+                .filter(|&p| Some(p) != drop)
+                .map(|p| feats[p])
+                .collect();
+            let tree = Tree {
+                nodes,
+                n_leaves: leaves.len(),
+                features_used,
+            };
+            (tree, leaves)
+        })
+        .collect()
+}
+
+/// The state of one [`grow`].
+struct Grower<'a, L> {
+    xs: &'a [FeatureVec],
+    ys: &'a [f64],
+    feats: &'a [usize],
+    drops: &'a [Option<usize>],
+    cfg: &'a TreeConfig,
+    keep: &'a dyn Fn(&[u32]) -> L,
+    /// Per candidate: its nodes, and per leaf id what `keep` made of it.
+    trees: Vec<(Vec<Node>, Vec<L>)>,
+    /// Per position of `feats`: what the current node's scan found.
+    cuts: Vec<ColumnCuts>,
+    /// Per sample: whether the split being applied sends it left.
+    goes_left: Vec<bool>,
+    scratch: Vec<u32>,
+}
+
+/// A set of node buffers. Every node owns one range of each: its members
+/// by the value of `feats[p]` in `cols[p]`, and by sample id in `members`.
+/// A split partitions the node's range of each buffer in place, stably,
+/// so both children inherit both orders.
+struct Buffers {
+    cols: Vec<Vec<u32>>,
+    members: Vec<u32>,
+}
+
+/// A node to fill: its range of its buffer set, its depth, and the
+/// candidates that share it, each with the node's index in its own tree.
+struct Open {
+    range: Range<usize>,
+    depth: u32,
+    at: Vec<(usize, u32)>,
+}
+
+impl<L> Grower<'_, L> {
+    /// Fills the nodes on `stack` and their subtrees, all on `bufs`; a
+    /// candidate that forks grows on `spare`.
+    fn walk(&mut self, bufs: &mut Buffers, mut spare: Option<&mut Buffers>, mut stack: Vec<Open>) {
+        while let Some(open) = stack.pop() {
+            let skip = self.unread(&open.at);
+            let parent_sse = self.scan(bufs, &open, skip);
+            let shared = parent_sse.and_then(|sse| self.winner(skip, sse));
+            // Every split is decided before a fork's walk overwrites `cuts`.
+            let owns: Vec<Option<Split>> = open
+                .at
+                .iter()
+                .map(|&(c, _)| match parent_sse {
+                    Some(sse) if open.at.len() > 1 => self.winner(self.drops[c], sse),
+                    _ => shared,
+                })
+                .collect();
+            let mut agree = Vec::with_capacity(open.at.len());
+            for (&(c, slot), own) in open.at.iter().zip(owns) {
+                match (own, shared) {
+                    (None, _) => self.leaf(c, slot, &bufs.members[open.range.clone()]),
+                    (Some(s), Some(w)) if self.same(s, w) => agree.push((c, slot)),
+                    (Some(s), _) => {
+                        let spare = spare.as_deref_mut().expect("one candidate never forks");
+                        self.fork(bufs, spare, &open, (c, slot), s);
+                    }
+                }
+            }
+            if let (Some(w), false) = (shared, agree.is_empty()) {
+                stack.extend(self.split(bufs, open.range, open.depth, agree, w));
+            }
+        }
+    }
+
+    /// The position no candidate in `at` reads: with one candidate, the one
+    /// it dropped; with more, none, since no two drop the same one.
+    fn unread(&self, at: &[(usize, u32)]) -> Option<usize> {
+        match at {
+            [(c, _)] => self.drops[*c],
+            _ => None,
+        }
+    }
+
+    /// Whether two splits send the same samples left.
+    fn same(&self, (p, thr): Split, (q, other): Split) -> bool {
+        self.feats[p] == self.feats[q] && thr.to_bits() == other.to_bits()
+    }
+
+    /// Scans every column of node `open` but `skip` into `self.cuts`, and
+    /// returns the node's sum of squared errors; `None` when the node is a
+    /// leaf whatever its columns hold: at the depth cap, under
+    /// `2 * min_leaf` samples, or pure.
+    fn scan(&mut self, bufs: &Buffers, open: &Open, skip: Option<usize>) -> Option<f64> {
+        let (ys, cfg) = (self.ys, self.cfg);
+        if open.depth >= cfg.max_depth || open.range.len() < 2 * cfg.min_leaf {
+            return None;
+        }
+        let members = &bufs.members[open.range.clone()];
+        let sum: f64 = members.iter().map(|&i| ys[i as usize]).sum();
+        let sum_sq: f64 = members
+            .iter()
+            .map(|&i| ys[i as usize] * ys[i as usize])
+            .sum();
+        let parent_sse = sum_sq - sum * sum / members.len() as f64;
+        if parent_sse <= 1e-12 {
+            return None; // already pure
+        }
+        for (p, cuts) in self.cuts.iter_mut().enumerate() {
+            if Some(p) != skip {
+                let ids = &bufs.cols[p][open.range.clone()];
+                *cuts = column_cuts(self.xs, ys, self.feats[p], ids, (sum, sum_sq), cfg);
+            }
+        }
+        Some(parent_sse)
+    }
+
+    /// The split of a candidate that reads every scanned column but
+    /// `skip`: the winning cut of those columns, if it lowers the node's
+    /// `parent_sse` by more than 1e-9.
+    fn winner(&self, skip: Option<usize>, parent_sse: f64) -> Option<Split> {
+        let mut win: Option<(usize, Cut)> = None;
+        for (p, cuts) in self.cuts.iter().enumerate() {
+            if Some(p) == skip {
+                continue;
+            }
+            for cut in [cuts.first, cuts.best].into_iter().flatten() {
+                if win.is_none_or(|(_, w)| cut.sse < w.sse) {
+                    win = Some((p, cut));
+                }
+            }
+        }
+        win.filter(|(_, w)| w.sse < parent_sse - 1e-9)
+            .map(|(p, w)| (p, w.thr))
+    }
+
+    /// Makes node `slot` of candidate `c` a leaf holding `members`.
+    fn leaf(&mut self, c: usize, slot: u32, members: &[u32]) {
+        let (nodes, leaves) = &mut self.trees[c];
+        nodes[slot as usize] = Node::Leaf {
+            leaf_id: leaves.len() as u32,
+        };
+        leaves.push((self.keep)(members));
+    }
+
+    /// Grows the subtree of candidate `at.0` (whose node `at.1` is `open`)
+    /// from node `open` of `bufs`, split at `s`, which no other candidate
+    /// there shares, on a copy in `spare`.
+    fn fork(
+        &mut self,
+        bufs: &Buffers,
+        spare: &mut Buffers,
+        open: &Open,
+        at: (usize, u32),
+        s: Split,
+    ) {
+        let (range, len) = (open.range.clone(), open.range.len());
+        spare.members[..len].copy_from_slice(&bufs.members[range.clone()]);
+        for (p, col) in spare.cols.iter_mut().enumerate() {
+            if Some(p) != self.drops[at.0] {
+                col[..len].copy_from_slice(&bufs.cols[p][range.clone()]);
+            }
+        }
+        let children = self.split(spare, 0..len, open.depth, vec![at], s);
+        self.walk(spare, None, children.into());
+    }
+
+    /// Splits the node that owns `range` of `bufs` at `(p, thr)` for the
+    /// candidates `at`; returns its children, left then right.
+    fn split(
+        &mut self,
+        bufs: &mut Buffers,
+        range: Range<usize>,
+        depth: u32,
+        at: Vec<(usize, u32)>,
+        (p, thr): Split,
+    ) -> [Open; 2] {
+        let (xs, f, cfg) = (self.xs, self.feats[p], self.cfg);
+        // The split column is sorted by the value it cuts, so the left child
+        // is its prefix, and it needs no partition.
+        let col = &bufs.cols[p][range.clone()];
+        let n_left = col.partition_point(|&i| xs[i as usize][f] <= thr);
+        for (k, &i) in col.iter().enumerate() {
+            self.goes_left[i as usize] = k < n_left;
+        }
+        let mid = range.start + n_left;
+        debug_assert!(n_left >= cfg.min_leaf && range.end - mid >= cfg.min_leaf);
+        partition(
+            &mut bufs.members[range.clone()],
+            &self.goes_left,
+            &mut self.scratch,
+        );
+        // Only a child that splits scans the columns.
+        let splits = |len: usize| depth + 1 < cfg.max_depth && len >= 2 * cfg.min_leaf;
+        if splits(n_left) || splits(range.end - mid) {
+            let skip = self.unread(&at);
+            for (q, col) in bufs.cols.iter_mut().enumerate() {
+                if q != p && Some(q) != skip {
+                    partition(&mut col[range.clone()], &self.goes_left, &mut self.scratch);
+                }
+            }
+        }
+        let mut children = [range.start..mid, mid..range.end].map(|range| Open {
+            range,
+            depth: depth + 1,
+            at: Vec::with_capacity(at.len()),
+        });
+        for (c, slot) in at {
+            let nodes = &mut self.trees[c].0;
+            let left = nodes.len() as u32;
+            nodes.extend([Node::Leaf { leaf_id: 0 }; 2]); // placeholders
+            nodes[slot as usize] = Node::Split {
+                feature: f,
+                threshold: thr,
+                left,
+                right: left + 1,
+            };
+            children[0].at.push((c, left));
+            children[1].at.push((c, left + 1));
+        }
+        children
+    }
+}
+
 /// Moves the ids that `goes_left` marks to the front of `ids` and the rest
-/// behind them, each group in its previous order. Returns the size of the
-/// front group.
-fn partition(ids: &mut [u32], goes_left: &[bool], scratch: &mut Vec<u32>) -> usize {
+/// behind them, each group in its previous order.
+fn partition(ids: &mut [u32], goes_left: &[bool], scratch: &mut Vec<u32>) {
     scratch.clear();
     scratch.resize(ids.len(), 0);
     // Branch-free: each id is written to both sides and only the side it
@@ -255,86 +532,66 @@ fn partition(ids: &mut [u32], goes_left: &[bool], scratch: &mut Vec<u32>) -> usi
         n_right += 1 - left;
     }
     ids[n_left..].copy_from_slice(&scratch[..n_right]);
-    n_left
 }
 
-/// Finds the variance-minimizing split over the candidate thresholds of
-/// the node that owns `range` of `members` and of each `sorted` buffer;
-/// returns `None` when no split reduces the sum of squared errors or
-/// satisfies the minimum-leaf constraint.
-fn best_split(
+/// Every admissible cut of column `f` in a node whose members are `ids`,
+/// in ascending order of `x[f]`, and whose targets and their squares sum
+/// to `sum` and `sum_sq`.
+fn column_cuts(
     xs: &[FeatureVec],
     ys: &[f64],
-    feats: &[usize],
-    members: &[u32],
-    sorted: &[Vec<u32>],
-    range: Range<usize>,
+    f: usize,
+    ids: &[u32],
+    (sum, sum_sq): (f64, f64),
     cfg: &TreeConfig,
-) -> Option<(usize, f64)> {
-    let members = &members[range.clone()];
-    let n = members.len();
-    let sum: f64 = members.iter().map(|&i| ys[i as usize]).sum();
-    let sum_sq: f64 = members
-        .iter()
-        .map(|&i| ys[i as usize] * ys[i as usize])
-        .sum();
-    let parent_sse = sum_sq - sum * sum / n as f64;
-    if parent_sse <= 1e-12 {
-        return None; // already pure
+) -> ColumnCuts {
+    let n = ids.len();
+    let x = |k: usize| xs[ids[k] as usize][f];
+    let mut cuts = ColumnCuts::default();
+    if x(0) == x(n - 1) {
+        return cuts; // constant feature in this node
     }
-
-    let mut best: Option<(usize, f64, f64)> = None; // (feat, thr, sse)
-    for (&f, ids) in feats.iter().zip(sorted) {
-        let ids = &ids[range.clone()];
-        let x = |k: usize| xs[ids[k] as usize][f];
-        if x(0) == x(n - 1) {
-            continue; // constant feature in this node
+    // Prefix sums of y in feature order over `ids[..at]`, advanced to each
+    // admissible cut position as the scan reaches it.
+    let (mut sl, mut ql, mut at) = (0.0f64, 0.0f64, 0usize);
+    // Candidate cut positions: an evenly spaced grid, snapped forward so the
+    // threshold falls between distinct feature values.
+    let step = (n / (cfg.n_thresholds + 1)).max(1);
+    let mut k = step;
+    while k < n {
+        // Snap to the last index sharing x(k - 1).
+        let v = x(k - 1);
+        while k < n && x(k) == v {
+            k += 1;
         }
-        // Prefix sums of y in feature order over `ids[..at]`, advanced to
-        // each admissible cut position as the scan reaches it.
-        let (mut sl, mut ql, mut at) = (0.0f64, 0.0f64, 0usize);
-        // Candidate cut positions: an evenly spaced grid, snapped forward so
-        // the threshold falls between distinct feature values.
-        let step = (n / (cfg.n_thresholds + 1)).max(1);
-        let mut k = step;
-        while k < n {
-            // Snap to the last index sharing x(k - 1).
-            let v = x(k - 1);
-            while k < n && x(k) == v {
-                k += 1;
-            }
-            if k >= n {
-                break;
-            }
-            let (nl, nr) = (k, n - k);
-            if nl >= cfg.min_leaf && nr >= cfg.min_leaf {
-                for &i in &ids[at..k] {
-                    let y = ys[i as usize];
-                    sl += y;
-                    ql += y * y;
-                }
-                at = k;
-                let sse_l = ql - sl * sl / nl as f64;
-                let sr = sum - sl;
-                let qr = sum_sq - ql;
-                let sse_r = qr - sr * sr / nr as f64;
-                let sse = sse_l + sse_r;
-                if best.is_none_or(|(_, _, b)| sse < b) {
-                    let thr = (v + x(k)) / 2.0;
-                    best = Some((f, thr, sse));
-                }
-            }
-            k += step;
+        if k >= n {
+            break;
         }
+        let (nl, nr) = (k, n - k);
+        if nl >= cfg.min_leaf && nr >= cfg.min_leaf {
+            for &i in &ids[at..k] {
+                let y = ys[i as usize];
+                sl += y;
+                ql += y * y;
+            }
+            at = k;
+            let sse_l = ql - sl * sl / nl as f64;
+            let sr = sum - sl;
+            let qr = sum_sq - ql;
+            let sse_r = qr - sr * sr / nr as f64;
+            let sse = sse_l + sse_r;
+            let cut = Cut {
+                sse,
+                thr: (v + x(k)) / 2.0,
+            };
+            cuts.first.get_or_insert(cut);
+            if cuts.best.map_or(!sse.is_nan(), |b| sse < b.sse) {
+                cuts.best = Some(cut);
+            }
+        }
+        k += step;
     }
-
-    best.and_then(|(f, thr, sse)| {
-        if sse < parent_sse - 1e-9 {
-            Some((f, thr))
-        } else {
-            None
-        }
-    })
+    cuts
 }
 
 /// CART as first written: a fresh stable sort of the node's members and
@@ -473,7 +730,7 @@ pub(crate) mod reference {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use concordia_stats::rng::Rng;
     use proptest::prelude::*;
@@ -635,7 +892,7 @@ mod tests {
     /// ties), 1 signed zeros among small values, 2 a duplicate of 0, 3
     /// constant, 4 a continuous draw. The target is tied and zero-signed
     /// too, or large enough that its sums depend on the order of addition.
-    fn tie_heavy_sample(
+    pub(crate) fn tie_heavy_sample(
         (grid, zsel, raw, noise, ysel): (u8, u8, f64, f64, u8),
     ) -> (FeatureVec, f64) {
         let g = (grid % 3) as f64;
@@ -659,7 +916,7 @@ mod tests {
 
     /// Tree fields compared bit for bit: `Debug` prints each threshold in
     /// its shortest round-trip form, so `-0.0` and `0.0` differ.
-    fn bits(tree: &Tree) -> String {
+    pub(crate) fn bits(tree: &Tree) -> String {
         format!("{tree:?}")
     }
 

@@ -36,6 +36,24 @@ impl Nanos {
         Nanos(s * 1_000_000_000)
     }
 
+    /// Constructs from microseconds; `None` if the nanosecond count does
+    /// not fit in a `u64`. For values read from input.
+    pub const fn checked_from_micros(us: u64) -> Option<Nanos> {
+        match us.checked_mul(1_000) {
+            Some(ns) => Some(Nanos(ns)),
+            None => None,
+        }
+    }
+
+    /// Constructs from seconds; `None` if the nanosecond count does not fit
+    /// in a `u64`. For values read from input.
+    pub const fn checked_from_secs(s: u64) -> Option<Nanos> {
+        match s.checked_mul(1_000_000_000) {
+            Some(ns) => Some(Nanos(ns)),
+            None => None,
+        }
+    }
+
     /// Constructs from a float microsecond count (rounds to nearest ns,
     /// clamping negatives to zero).
     pub fn from_micros_f64(us: f64) -> Nanos {
@@ -142,6 +160,20 @@ mod tests {
         assert_eq!(Nanos::from_secs(2).as_nanos(), 2_000_000_000);
         assert_eq!(Nanos::from_micros_f64(1.5).as_nanos(), 1_500);
         assert_eq!(Nanos::from_micros_f64(-3.0), Nanos::ZERO);
+        assert_eq!(Nanos::checked_from_micros(20), Some(Nanos::from_micros(20)));
+        assert_eq!(Nanos::checked_from_secs(2), Some(Nanos::from_secs(2)));
+        let max_us = u64::MAX / 1_000;
+        assert_eq!(
+            Nanos::checked_from_micros(max_us),
+            Some(Nanos(max_us * 1_000))
+        );
+        assert_eq!(Nanos::checked_from_micros(max_us + 1), None);
+        let max_s = u64::MAX / 1_000_000_000;
+        assert_eq!(
+            Nanos::checked_from_secs(max_s),
+            Some(Nanos(max_s * 1_000_000_000))
+        );
+        assert_eq!(Nanos::checked_from_secs(max_s + 1), None);
     }
 
     #[test]

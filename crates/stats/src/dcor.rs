@@ -12,51 +12,43 @@
 //! row means `r` and their grand mean `g` at the point of use, with the
 //! floating-point operations of the textbook matrix form in the same order,
 //! so the result is bit-identical to it for finite inputs.
-//! [`CenteredSample`] holds one side's row means and distance variance, and
+//! [`CenteredSample`] holds one side's row means, and
 //! [`CenteredSample::dcor_columns`] scores many columns against it in one
 //! pass. The columns sit side by side in the lanes of a block: the pass
 //! computes the fixed side's distance once per pair `(i, j)`, in row-major
 //! order, and each lane adds its own column's products to its own sums.
 //! Every lane thus performs the one-column loop's operations in its order,
 //! and vector lanes neither reassociate nor fuse a multiply into an add, so
-//! each score keeps the bits of the matrix form. The pass runs on AVX2
-//! where the host has it, checked at run time, and on the target's
-//! baseline vectors everywhere else.
+//! each score keeps the bits of the matrix form. The fixed side's own
+//! distance variance is summed in the same pass, beside the first block's
+//! lanes, in the same order. A score computed from a non-finite value is 0,
+//! as a constant column's is: a NaN or infinite value in either sample
+//! detects no dependence. The pass runs on AVX2 where the host has it,
+//! checked at run time, and on the target's baseline vectors everywhere
+//! else.
 
 /// Columns scored side by side in one pass: two AVX2 registers, or four
 /// SSE2 ones, per running sum.
 const LANES: usize = 8;
 
 /// A sample prepared as the fixed side of repeated distance correlations:
-/// the row means of its distance matrix, their grand mean, and its
-/// distance variance.
+/// the row means of its distance matrix and their grand mean.
 #[derive(Debug)]
 pub struct CenteredSample<'a> {
     values: &'a [f64],
     row_means: Vec<f64>,
     grand: f64,
-    /// Mean of the squared double-centered distances.
-    dvar: f64,
 }
 
 impl<'a> CenteredSample<'a> {
     /// Centers `values`. Panics on fewer than 2 elements.
     pub fn new(values: &'a [f64]) -> Self {
-        let n = values.len();
-        assert!(n >= 2, "dcor needs at least 2 observations");
+        assert!(values.len() >= 2, "dcor needs at least 2 observations");
         let (row_means, grand) = distance_row_means(values);
-        let mut dvar = 0.0;
-        for (&yi, &ri) in values.iter().zip(&row_means) {
-            for (&yj, &rj) in values.iter().zip(&row_means) {
-                let b = centered(yi, yj, ri, rj, grand);
-                dvar += b * b;
-            }
-        }
         CenteredSample {
             values,
             row_means,
             grand,
-            dvar: dvar / (n * n) as f64,
         }
     }
 
@@ -72,9 +64,10 @@ impl<'a> CenteredSample<'a> {
     /// column of `columns`, which holds them end to end, each as long as
     /// this sample.
     ///
-    /// A constant column scores 0 (no dependence detectable) in O(n),
-    /// unless this sample's distance variance is infinite. Panics if
-    /// `columns` does not split into whole columns.
+    /// A constant column scores 0 (no dependence detectable) in O(n). A
+    /// column holding a NaN or an infinity scores 0, and so does every
+    /// column if this sample holds one. Panics if `columns` does not split
+    /// into whole columns.
     pub fn dcor_columns(&self, columns: &[f64]) -> Vec<f64> {
         self.score(columns, true)
     }
@@ -97,27 +90,38 @@ impl<'a> CenteredSample<'a> {
         let n = self.values.len();
         assert_eq!(columns.len() % n, 0, "dcor needs paired samples");
         let mut scores = vec![0.0; columns.len() / n];
-        // Every centered distance of a constant column is exactly +0, so the
-        // full pass would score it 0 — unless this side's variance
-        // overflowed, where the pass yields NaN and must run.
+        // Every centered distance of a finite constant column is exactly +0,
+        // so the full pass would score it 0; a non-finite one scores 0 too.
         let (index, live): (Vec<usize>, Vec<&[f64]>) = columns
             .chunks_exact(n)
             .enumerate()
-            .filter(|(_, x)| !(x.iter().all(|&v| v == x[0]) && self.dvar.is_finite()))
+            .filter(|(_, x)| !x.iter().all(|&v| v == x[0]))
             .unzip();
         let n2 = (n * n) as f64;
+        let mut dvar = None;
         for (lanes, block) in index.chunks(LANES).zip(live.chunks(LANES)) {
-            let (ab, aa) = block_sums(avx2, self, block);
+            let (ab, aa, bb) = block_sums(avx2, self, block);
+            // Every block sums the same `b·b`; the first block's serves all.
+            let dvar = *dvar.get_or_insert(bb / n2);
             for (lane, &k) in lanes.iter().enumerate() {
-                let denom = (aa[lane] / n2 * self.dvar).sqrt();
-                scores[k] = if denom <= 1e-300 {
-                    0.0
-                } else {
-                    ((ab[lane] / n2).max(0.0) / denom).sqrt().min(1.0)
-                };
+                scores[k] = correlation(ab[lane] / n2, aa[lane] / n2, dvar);
             }
         }
         scores
+    }
+}
+
+/// Distance correlation from the distance covariance `dcov2` and the two
+/// distance variances; 0 if any of them is not finite.
+fn correlation(dcov2: f64, dvarx: f64, dvary: f64) -> f64 {
+    if !(dcov2.is_finite() && dvarx.is_finite() && dvary.is_finite()) {
+        return 0.0;
+    }
+    let denom = (dvarx * dvary).sqrt();
+    if denom <= 1e-300 {
+        0.0
+    } else {
+        (dcov2.max(0.0) / denom).sqrt().min(1.0)
     }
 }
 
@@ -131,9 +135,9 @@ pub fn distance_correlation(x: &[f64], y: &[f64]) -> f64 {
 
 /// Per lane, the sums of `a·b` and `a·a` over every pair `(i, j)` in
 /// row-major order, where `b` is `y`'s centered distance and `a` that of
-/// the lane's column, for up to `LANES` columns; on AVX2 if `avx2` and the
-/// host has it.
-fn block_sums(avx2: bool, y: &CenteredSample, columns: &[&[f64]]) -> ([f64; LANES], [f64; LANES]) {
+/// the lane's column, for up to `LANES` columns, and the sum of `b·b` in
+/// the same order; on AVX2 if `avx2` and the host has it.
+fn block_sums(avx2: bool, y: &CenteredSample, columns: &[&[f64]]) -> BlockSums {
     #[cfg(target_arch = "x86_64")]
     if avx2 && is_x86_feature_detected!("avx2") {
         // SAFETY: the host supports AVX2, as checked just above.
@@ -147,13 +151,16 @@ fn block_sums(avx2: bool, y: &CenteredSample, columns: &[&[f64]]) -> ([f64; LANE
 /// has it.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn block_sums_avx2(y: &CenteredSample, columns: &[&[f64]]) -> ([f64; LANES], [f64; LANES]) {
+fn block_sums_avx2(y: &CenteredSample, columns: &[&[f64]]) -> BlockSums {
     block_sums_body(y, columns)
 }
 
+/// Per lane the sums of `a·b` and `a·a`, and the sum of `b·b`.
+type BlockSums = ([f64; LANES], [f64; LANES], f64);
+
 /// The kernel, written once and inlined into each tier.
 #[inline(always)]
-fn block_sums_body(y: &CenteredSample, columns: &[&[f64]]) -> ([f64; LANES], [f64; LANES]) {
+fn block_sums_body(y: &CenteredSample, columns: &[&[f64]]) -> BlockSums {
     // The block transposed: row `i` holds every lane's value and row mean.
     // Lanes without a column hold zeros, and their sums are discarded.
     let n = y.values.len();
@@ -170,6 +177,7 @@ fn block_sums_body(y: &CenteredSample, columns: &[&[f64]]) -> ([f64; LANES], [f6
     }
     let mut ab = [0.0; LANES];
     let mut aa = [0.0; LANES];
+    let mut bb = 0.0;
     let mut b_row = vec![0.0; n];
     let y_rows = || y.values.iter().zip(&y.row_means);
     for ((&yi, &ryi), (xi, ri)) in y_rows().zip(x.iter().zip(&r)) {
@@ -177,6 +185,7 @@ fn block_sums_body(y: &CenteredSample, columns: &[&[f64]]) -> ([f64; LANES], [f6
             *b = centered(yi, yj, ryi, ryj, y.grand);
         }
         for (&b, (xj, rj)) in b_row.iter().zip(x.iter().zip(&r)) {
+            bb += b * b;
             for lane in 0..LANES {
                 let a = centered(xi[lane], xj[lane], ri[lane], rj[lane], g[lane]);
                 ab[lane] += a * b;
@@ -184,7 +193,7 @@ fn block_sums_body(y: &CenteredSample, columns: &[&[f64]]) -> ([f64; LANES], [f6
             }
         }
     }
-    (ab, aa)
+    (ab, aa, bb)
 }
 
 /// Row means of the pairwise `|xi - xj|` matrix (which, the matrix being
@@ -244,6 +253,9 @@ mod reference {
         dvarx /= n2;
         dvary /= n2;
 
+        if !(dcov2.is_finite() && dvarx.is_finite() && dvary.is_finite()) {
+            return 0.0; // computed from a non-finite value
+        }
         let denom = (dvarx * dvary).sqrt();
         if denom <= 1e-300 {
             0.0
@@ -329,6 +341,19 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_values_score_zero() {
+        let y: Vec<f64> = (0..50).map(|i| i as f64).collect();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut x = y.clone();
+            x[7] = bad;
+            assert_eq!(distance_correlation(&x, &y).to_bits(), 0.0f64.to_bits());
+            // A non-finite fixed side scores every column 0, constant or not.
+            let scores = CenteredSample::new(&x).dcor_columns(&[y.clone(), vec![3.0; 50]].concat());
+            assert_eq!(scores, vec![0.0, 0.0]);
+        }
+    }
+
+    #[test]
     fn symmetric_in_arguments() {
         let mut rng = Rng::new(32);
         let x: Vec<f64> = (0..150).map(|_| rng.f64()).collect();
@@ -404,8 +429,9 @@ mod tests {
             let y = draw(&mut rng, n);
             // Free columns; a constant column, the same one with its sign
             // alternating, and zeros of random sign; a duplicate of the
-            // target; in half the cases a column with one NaN. Shuffled,
-            // they make calls of 1 to LANES + 6 live columns.
+            // target; in half the cases a column with one NaN and one with
+            // one infinity. Shuffled, they make calls of 1 to LANES + 7
+            // live columns.
             let c = value(fill);
             let mut columns: Vec<Vec<f64>> = (0..free).map(|_| draw(&mut rng, n)).collect();
             columns.push(vec![c; n]);
@@ -413,17 +439,24 @@ mod tests {
             columns.push((0..n).map(|_| if rng.chance(0.5) { 0.0 } else { -0.0 }).collect());
             columns.push(y.clone());
             if with_nan == 1 {
-                let mut x = draw(&mut rng, n);
-                x[rng.below(n as u64) as usize] = f64::NAN;
-                columns.push(x);
+                for bad in [f64::NAN, f64::INFINITY * c.signum()] {
+                    let mut x = draw(&mut rng, n);
+                    x[rng.below(n as u64) as usize] = bad;
+                    columns.push(x);
+                }
             }
             rng.shuffle(&mut columns);
             // The reference scores each column alone, so no lane's score
-            // may depend on its neighbours, the NaN column's included.
+            // may depend on its neighbours, the non-finite ones' included.
             let want: Vec<u64> = columns
                 .iter()
                 .map(|x| reference::distance_correlation(x, &y).to_bits())
                 .collect();
+            for (x, &score) in columns.iter().zip(&want) {
+                if x.iter().any(|v| !v.is_finite()) {
+                    prop_assert_eq!(score, 0.0f64.to_bits());
+                }
+            }
             let target = CenteredSample::new(&y);
             for (tier, scores) in target.dcor_columns_each_tier(&columns.concat()).iter().enumerate() {
                 let got: Vec<u64> = scores.iter().map(|s| s.to_bits()).collect();
