@@ -43,6 +43,7 @@
 use concordia_bench::{banner, bool_flag, f64_flag, u64_flag, write_json, Gate};
 use concordia_core::{run_experiment, Colocation, ExperimentReport, SimConfig};
 use concordia_platform::faults::{FaultKind, FaultPlan, FaultSpec};
+use concordia_platform::metrics::reliability;
 use concordia_platform::trace::TraceConfig;
 use concordia_platform::workloads::WorkloadKind;
 use concordia_sched::SupervisorConfig;
@@ -88,11 +89,7 @@ fn row(mode: &str, report: &ExperimentReport) -> DriftRow {
     // The drift as a whole: completions while either window was active.
     let drift_dags = early.dags_during + late.dags_during;
     let drift_viols = early.violations_during + late.violations_during;
-    let during = if drift_dags == 0 {
-        1.0
-    } else {
-        1.0 - drift_viols as f64 / drift_dags as f64
-    };
+    let during = reliability(drift_dags, drift_viols);
     DriftRow {
         mode: mode.to_string(),
         reliability_pre: pre,

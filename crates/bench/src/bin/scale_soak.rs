@@ -20,12 +20,12 @@
 //! `cargo run -p concordia-bench --release --bin scale_soak -- --quick --jobs 2`
 
 use concordia_bench::{
-    banner, cells_from_args, jobs_from_args, u64_flag, write_json, Gate, RunLength,
+    banner, cells_from_args, count_flag, jobs_from_args, write_json, Gate, RunLength,
 };
-use concordia_core::runner::run_sweep;
+use concordia_core::runner::{run_sweep, MAX_REPEATS};
 use concordia_core::SimConfig;
 use concordia_platform::faults::{FaultKind, FaultPlan};
-use concordia_platform::metrics::CellCounters;
+use concordia_platform::metrics::{reliability, CellCounters};
 use concordia_ran::Nanos;
 use serde::Serialize;
 
@@ -47,7 +47,7 @@ fn main() {
     let seed = concordia_bench::seed_from_args();
     let jobs = jobs_from_args();
     let max_cells = cells_from_args(8);
-    let repeats = u64_flag("--repeat", 2) as usize;
+    let repeats = count_flag("--repeat", 2, MAX_REPEATS);
     banner(
         "Scale soak (1..C cells sharing one pool, under core-loss faults)",
         "no cell loses work as the deployment scales, and the parallel runner's \
@@ -104,11 +104,7 @@ fn main() {
         }
         let conserved = per_cell.iter().all(|l| l.completed == l.injected)
             && per_cell.iter().all(|l| l.injected > 0);
-        let reliability = if dags == 0 {
-            1.0
-        } else {
-            1.0 - violations as f64 / dags as f64
-        };
+        let reliability = reliability(dags as u64, violations);
 
         let row = Row {
             cells,

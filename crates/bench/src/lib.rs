@@ -9,9 +9,11 @@
 //! minimum-pool search, the soaks' pass/fail [`Gate`] and tiny table
 //! formatting.
 
-use concordia_core::runner::run_parallel;
+use concordia_core::config::MAX_CELLS;
+use concordia_core::runner::{run_parallel, MAX_JOBS};
 use concordia_core::{ExperimentReport, SimConfig};
 use serde::Serialize;
+use std::fmt::Display;
 use std::ops::RangeInclusive;
 use std::path::PathBuf;
 use std::str::FromStr;
@@ -69,19 +71,33 @@ pub fn u64_flag(name: &str, default: u64) -> u64 {
     flag_value(name).unwrap_or(default)
 }
 
-/// Parses `--cells N` (pooled cells; default from the scenario).
-pub fn cells_from_args(default: u32) -> u32 {
-    (u64_flag("--cells", default as u64) as u32).max(1)
+/// Parses a `--flag N` count in `1..=max` from the process arguments; a
+/// value outside it, or a malformed one, exits 2.
+pub fn count_flag<T>(name: &str, default: T, max: T) -> T
+where
+    T: TryFrom<u64> + PartialOrd + Display,
+{
+    let args: Vec<String> = std::env::args().collect();
+    bounded_count(&args, name, default, max).unwrap_or_else(|msg| {
+        eprintln!("{msg}");
+        std::process::exit(2)
+    })
 }
 
-/// Parses `--jobs N` (worker threads; default: all available cores).
-/// The runner merges results in input order, so the value never changes
-/// a byte of output — only wall-clock time.
+/// Parses `--cells N` (pooled cells, at most [`MAX_CELLS`]; default from
+/// the scenario).
+pub fn cells_from_args(default: u32) -> u32 {
+    count_flag("--cells", default, MAX_CELLS)
+}
+
+/// Parses `--jobs N` (worker threads, at most [`MAX_JOBS`]; default: all
+/// available cores). The runner merges results in input order, so the
+/// value never changes a byte of output — only wall-clock time.
 pub fn jobs_from_args() -> usize {
     let default = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
-    (u64_flag("--jobs", default as u64) as usize).max(1)
+        .map_or(4, |n| n.get())
+        .min(MAX_JOBS);
+    count_flag("--jobs", default, MAX_JOBS)
 }
 
 /// Parses a `--flag X.Y` float from the process arguments.
@@ -114,6 +130,21 @@ fn parse_flag<T: FromStr>(args: &[String], name: &str) -> Result<Option<T>, Stri
         .parse()
         .map(Some)
         .map_err(|_| format!("invalid value for {name}: '{value}'"))
+}
+
+/// `name`'s count in `args` (`default` when absent), refused with a message
+/// naming the flag unless it is in `1..=max`.
+fn bounded_count<T>(args: &[String], name: &str, default: T, max: T) -> Result<T, String>
+where
+    T: TryFrom<u64> + PartialOrd + Display,
+{
+    let Some(n) = parse_flag::<u64>(args, name)? else {
+        return Ok(default);
+    };
+    match T::try_from(n) {
+        Ok(t) if n > 0 && t <= max => Ok(t),
+        _ => Err(format!("{name} {n} is outside 1..={max}")),
+    }
 }
 
 /// [`parse_flag`] over the process arguments; a malformed value exits 2.
@@ -280,6 +311,29 @@ mod tests {
         assert!(err.contains("--jobs") && err.contains("two"), "{err}");
         let err = parse_flag::<u64>(&args(&["soak", "--windows"]), "--windows").unwrap_err();
         assert!(err.contains("--windows"), "{err}");
+    }
+
+    #[test]
+    fn counts_outside_their_range_are_refused_by_name() {
+        let cells =
+            |v: &str| bounded_count(&args(&["soak", "--cells", v]), "--cells", 8, MAX_CELLS);
+        assert_eq!(
+            bounded_count(&args(&["soak"]), "--cells", 8, MAX_CELLS),
+            Ok(8)
+        );
+        assert_eq!(cells("1024"), Ok(MAX_CELLS));
+        // Zero and the probes past `u32` no longer wrap or clamp to one.
+        for v in ["0", "1025", "4294967295", "4294967296"] {
+            assert_eq!(cells(v), Err(format!("--cells {v} is outside 1..=1024")));
+        }
+        let e = cells("-1").unwrap_err();
+        assert!(e.contains("--cells") && e.contains("-1"), "{e}");
+        let jobs = |v: &str| bounded_count(&args(&["soak", "--jobs", v]), "--jobs", 2, MAX_JOBS);
+        assert_eq!(jobs("256"), Ok(256));
+        assert_eq!(
+            jobs("257"),
+            Err("--jobs 257 is outside 1..=256".to_string())
+        );
     }
 
     #[test]

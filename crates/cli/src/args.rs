@@ -1,10 +1,13 @@
 //! Minimal dependency-free argument parsing for the `concordia` CLI.
 
+use concordia_core::config::MAX_CELLS;
+use concordia_core::runner::{MAX_JOBS, MAX_REPEATS};
 use concordia_core::{
     Colocation, PredictorChoice, ReconfigPlan, ScenarioSpec, SchedulerChoice, SimConfig,
 };
 use concordia_platform::arch::PoolArchChoice;
 use concordia_platform::faults::{FaultKind, FaultPlan};
+use concordia_platform::pool::MAX_CORES;
 use concordia_platform::trace::TraceConfig;
 use concordia_platform::workloads::WorkloadKind;
 use concordia_ran::{CellConfig, Nanos};
@@ -21,8 +24,8 @@ USAGE:
 
 OPTIONS:
   --config 20mhz|100mhz|lte   cell preset (default 20mhz: 7xFDD 20MHz)
-  --cells N                   number of pooled cells (default: preset)
-  --cores N                   vRAN pool cores (default: preset)
+  --cells N                   number of pooled cells, 1-1024 (default: preset)
+  --cores N                   vRAN pool cores, 1-4096 (default: preset)
   --scheduler S               concordia | flexran | shenango:<us> |
                               utilization:<hi> | dedicated (default concordia)
   --predictor P               qdt | linreg | gbt | pwcet | oracle (default qdt)
@@ -69,12 +72,14 @@ OPTIONS:
                               typed steps land at slot boundaries under
                               per-slot invariant checks with automatic
                               rollback (single runs only)
-  --repeat N                  run an N-run seed sweep instead of a single
-                              experiment: per-run seeds derive from --seed
-                              via the ChaCha stream, and --json writes a
-                              sweep report (byte-identical for any --jobs)
+  --repeat N                  run an N-run seed sweep (N at most 10000)
+                              instead of a single experiment: per-run seeds
+                              derive from --seed via the ChaCha stream, and
+                              --json writes a sweep report (byte-identical
+                              for any --jobs)
   --jobs N                    worker threads for --repeat / --search /
-                              --replay (default: all available cores)
+                              --replay, 1-256 (default: all available
+                              cores, at most 256)
   --search STRAT              adversarial scenario search around the
                               configured experiment: random | bisection |
                               beam (optionally random:<batch>,
@@ -133,6 +138,23 @@ fn duration(flag: &str, value: u64, checked: fn(u64) -> Option<Nanos>) -> Result
     })
 }
 
+/// The count `value` of `flag`, refused unless it is in `1..=max`.
+fn count<T>(flag: &str, value: &str, max: T) -> Result<T, CliError>
+where
+    T: TryFrom<u64> + PartialOrd + std::fmt::Display,
+{
+    let n: u64 = value
+        .parse()
+        .map_err(|_| CliError(format!("{flag} must be an integer")))?;
+    if n == 0 {
+        return err(format!("{flag} must be positive"));
+    }
+    match T::try_from(n) {
+        Ok(n) if n <= max => Ok(n),
+        _ => err(format!("{flag} {n} is above the maximum of {max}")),
+    }
+}
+
 /// Everything the command line resolves to: the experiment configuration,
 /// output paths, and the sweep controls.
 #[derive(Debug)]
@@ -187,8 +209,8 @@ pub fn parse(argv: &[String]) -> Result<Cli, CliError> {
     let mut trace_path = None;
     let mut repeat = 1usize;
     let mut jobs = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
+        .map_or(4, |n| n.get())
+        .min(MAX_JOBS);
     let mut strategy: Option<Strategy> = None;
     let mut oracle: Option<Oracle> = None;
     let mut budget = 64u64;
@@ -218,18 +240,10 @@ pub fn parse(argv: &[String]) -> Result<Cli, CliError> {
                 cfg.cores = cores;
             }
             "--cells" => {
-                cells_override = Some(
-                    value("--cells")?
-                        .parse()
-                        .map_err(|_| CliError("--cells must be an integer".into()))?,
-                );
+                cells_override = Some(count("--cells", value("--cells")?, MAX_CELLS)?);
             }
             "--cores" => {
-                cores_override = Some(
-                    value("--cores")?
-                        .parse()
-                        .map_err(|_| CliError("--cores must be an integer".into()))?,
-                );
+                cores_override = Some(count("--cores", value("--cores")?, MAX_CORES)?);
             }
             "--scheduler" => {
                 let v = value("--scheduler")?;
@@ -311,20 +325,10 @@ pub fn parse(argv: &[String]) -> Result<Cli, CliError> {
             "--supervisor" => cfg.supervisor = Some(SupervisorConfig::default()),
             "--no-stagger" => cfg.cell_stagger = false,
             "--repeat" => {
-                repeat = value("--repeat")?
-                    .parse()
-                    .map_err(|_| CliError("--repeat must be an integer".into()))?;
-                if repeat == 0 {
-                    return err("--repeat must be positive");
-                }
+                repeat = count("--repeat", value("--repeat")?, MAX_REPEATS)?;
             }
             "--jobs" => {
-                jobs = value("--jobs")?
-                    .parse()
-                    .map_err(|_| CliError("--jobs must be an integer".into()))?;
-                if jobs == 0 {
-                    return err("--jobs must be positive");
-                }
+                jobs = count("--jobs", value("--jobs")?, MAX_JOBS)?;
             }
             "--fpga" => cfg.fpga = true,
             "--mac" => cfg.mac_in_pool = true,
@@ -409,15 +413,9 @@ pub fn parse(argv: &[String]) -> Result<Cli, CliError> {
         }
     }
     if let Some(c) = cells_override {
-        if c == 0 {
-            return err("--cells must be positive");
-        }
         cfg.n_cells = c;
     }
     if let Some(c) = cores_override {
-        if c == 0 {
-            return err("--cores must be positive");
-        }
         cfg.cores = c;
     }
     // Applied after the loop so the plan scales to the final --secs value
@@ -935,6 +933,90 @@ mod tests {
         assert!(parse(&args("--scenario-file /nonexistent/spec.json")).is_err());
         assert!(parse(&args("--scenario-file")).is_err(), "missing value");
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn counts_above_their_maxima_are_refused() {
+        for (flag, max) in [
+            ("--cells", u64::from(MAX_CELLS)),
+            ("--cores", u64::from(MAX_CORES)),
+            ("--repeat", MAX_REPEATS as u64),
+            ("--jobs", MAX_JOBS as u64),
+        ] {
+            // The maximum parses; one more, and the probes past `u32`, are
+            // refused by name. Nothing is built or started.
+            assert!(parse(&args(&format!("{flag} {max}"))).is_ok(), "{flag}");
+            for n in [max + 1, u64::from(u32::MAX), u64::from(u32::MAX) + 1] {
+                let e = parse(&args(&format!("{flag} {n}"))).unwrap_err();
+                assert_eq!(
+                    e,
+                    CliError(format!("{flag} {n} is above the maximum of {max}"))
+                );
+            }
+            assert_eq!(
+                parse(&args(&format!("{flag} 0"))).unwrap_err(),
+                CliError(format!("{flag} must be positive"))
+            );
+            // USAGE documents each maximum.
+            assert!(USAGE.contains(&max.to_string()), "{flag}");
+        }
+        let Cli { cfg, .. } =
+            parse(&args(&format!("--cells {MAX_CELLS} --cores {MAX_CORES}"))).unwrap();
+        assert_eq!((cfg.n_cells, cfg.cores), (MAX_CELLS, MAX_CORES));
+        let Cli { jobs, .. } = parse(&[]).unwrap();
+        assert!((1..=MAX_JOBS).contains(&jobs), "default --jobs {jobs}");
+    }
+
+    /// Writes `text` to a scratch file named after `name` and parses `flag`
+    /// pointing at it.
+    fn parse_file_flag(flag: &str, name: &str, text: &str) -> Result<Cli, CliError> {
+        let path = std::env::temp_dir().join(format!("concordia-args-{name}.json"));
+        std::fs::write(&path, text).unwrap();
+        let parsed = parse(&[flag.into(), path.to_str().unwrap().into()]);
+        std::fs::remove_file(&path).ok();
+        parsed
+    }
+
+    #[test]
+    fn plan_errors_name_the_step_and_field() {
+        use concordia_core::ReconfigStep;
+        let plan = ReconfigPlan::new(vec![
+            ReconfigStep::AddCell,
+            ReconfigStep::GrowPool { cores: 2 },
+            ReconfigStep::SetDeadline { deadline_us: 1800 },
+        ]);
+        let json = serde_json::to_string(&plan).unwrap();
+        let missing = json.replace("\"deadline_us\":1800", "");
+        let e = parse_file_flag("--reconfig", "missing-field-plan", &missing).unwrap_err();
+        assert!(
+            e.0.ends_with(
+                "is not a plan: steps[2].deadline_us: expected unsigned integer, got Null"
+            ),
+            "{}",
+            e.0
+        );
+        let huge = json.replace("\"cores\":2", &format!("\"cores\":{}", u32::MAX));
+        let e = parse_file_flag("--reconfig", "huge-plan", &huge).unwrap_err();
+        assert!(
+            e.0.ends_with("step #1 (grow_pool): cores add up to 4294967295 over the plan, above the maximum of 4096"),
+            "{}",
+            e.0
+        );
+    }
+
+    #[test]
+    fn scenario_file_errors_name_the_field() {
+        let spec = ScenarioSpec::parse("mmtc_background:devices=500000").unwrap();
+        let json = serde_json::to_string(&spec).unwrap();
+        let missing = json.replace("\"devices\":500000,", "");
+        let e = parse_file_flag("--scenario-file", "missing-field-scenario", &missing).unwrap_err();
+        assert!(
+            e.0.ends_with(
+                "scenario does not parse: kind.devices: expected unsigned integer, got Null"
+            ),
+            "{}",
+            e.0
+        );
     }
 
     #[test]

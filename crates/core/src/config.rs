@@ -103,6 +103,11 @@ impl Colocation {
     }
 }
 
+/// The most cells a configuration may pool: the CLI, scenarios and the
+/// bench harness refuse more. The largest deployment any configuration in
+/// the repository runs has 100 cells.
+pub const MAX_CELLS: u32 = 1_024;
+
 /// Full configuration of one end-to-end experiment.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SimConfig {

@@ -32,6 +32,7 @@ use crate::config::{PredictorChoice, SimConfig};
 use crate::report::{ReconfigReport, StepOutcome};
 use crate::runner::BatchEval;
 use crate::sim::Simulation;
+use concordia_platform::pool::MAX_CORES;
 use concordia_platform::trace::TraceEvent;
 use concordia_ran::time::Nanos;
 use concordia_sched::guard::MispredictionGuard;
@@ -168,7 +169,17 @@ impl ReconfigPlan {
     /// externally-loaded plan; configuration-dependent problems (draining
     /// a cell that does not exist) still surface as apply-time rollbacks.
     pub fn validate(&self) -> Result<(), ReconfigPlanError> {
+        let mut growth = 0u64;
         for (index, step) in self.steps.iter().enumerate() {
+            if let &ReconfigStep::GrowPool { cores } = step {
+                growth += u64::from(cores);
+                if growth > u64::from(MAX_CORES) {
+                    return Err(ReconfigPlanError::GrowthTooLarge {
+                        index,
+                        total: growth,
+                    });
+                }
+            }
             match step {
                 ReconfigStep::GrowPool { cores: 0 } | ReconfigStep::ShrinkPool { cores: 0 } => {
                     return Err(ReconfigPlanError::ZeroCores {
@@ -201,6 +212,9 @@ pub enum ReconfigPlanError {
     ZeroDeadline { index: usize },
     /// A deadline whose nanoseconds do not fit the simulated clock.
     DeadlineOverflow { index: usize, deadline_us: u64 },
+    /// The plan's `GrowPool` steps, up to this one, add more than
+    /// [`MAX_CORES`] cores in total.
+    GrowthTooLarge { index: usize, total: u64 },
 }
 
 impl std::fmt::Display for ReconfigPlanError {
@@ -220,6 +234,13 @@ impl std::fmt::Display for ReconfigPlanError {
                     f,
                     "step #{index} (set_deadline): deadline_us {deadline_us} is longer than \
                      the simulated clock holds"
+                )
+            }
+            ReconfigPlanError::GrowthTooLarge { index, total } => {
+                write!(
+                    f,
+                    "step #{index} (grow_pool): cores add up to {total} over the plan, above \
+                     the maximum of {MAX_CORES}"
                 )
             }
         }
@@ -791,6 +812,38 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("step #1"), "{err}");
+    }
+
+    #[test]
+    fn validate_refuses_growth_past_the_pool_maximum() {
+        let ok = ReconfigPlan::new(vec![
+            ReconfigStep::GrowPool {
+                cores: MAX_CORES - 1,
+            },
+            ReconfigStep::ShrinkPool { cores: 3 },
+            ReconfigStep::GrowPool { cores: 1 },
+        ]);
+        assert!(ok.validate().is_ok());
+        // Growth adds up over the plan, whatever the shrinks between.
+        let bad = ReconfigPlan::new(vec![
+            ReconfigStep::GrowPool { cores: MAX_CORES },
+            ReconfigStep::ShrinkPool { cores: 3 },
+            ReconfigStep::GrowPool { cores: 1 },
+        ]);
+        let err = bad.validate().expect_err("growth past the maximum");
+        assert_eq!(
+            err,
+            ReconfigPlanError::GrowthTooLarge {
+                index: 2,
+                total: u64::from(MAX_CORES) + 1
+            }
+        );
+        assert!(err.to_string().starts_with("step #2 (grow_pool)"), "{err}");
+        let huge = ReconfigPlan::new(vec![ReconfigStep::GrowPool { cores: u32::MAX }]);
+        assert!(matches!(
+            huge.validate(),
+            Err(ReconfigPlanError::GrowthTooLarge { index: 0, .. })
+        ));
     }
 
     #[test]

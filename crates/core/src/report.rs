@@ -291,7 +291,6 @@ mod tests {
                 vran_busy_ms: 24_000.0,
                 wake_hist_counts: vec![10, 5, 1],
                 per_cell: Vec::new(),
-                nan_samples: 0,
             },
             workload: None,
             fault: None,

@@ -93,6 +93,10 @@ fn run_cached(
     })
 }
 
+/// The most worker threads a caller may ask the runner for (`--jobs`):
+/// each is an OS thread, so the CLI and the bench harness refuse more.
+pub const MAX_JOBS: usize = 256;
+
 /// Calls `f` on every index in `0..n` from up to `workers` scoped threads
 /// (at least one when `n > 0`), which claim the indices from a shared
 /// cursor, and returns the results in index order. A panic in `f` ends
@@ -244,6 +248,11 @@ impl SweepReport {
         s
     }
 }
+
+/// The most runs a seed sweep may ask for (`--repeat`): a sweep builds
+/// every run's configuration up front, so the CLI and the bench harness
+/// refuse more.
+pub const MAX_REPEATS: usize = 10_000;
 
 /// The configurations of an `n`-run sweep of `base`: run `i` gets root
 /// seed [`chacha::derive_seed`]`(master_seed, i)`, everything else is the

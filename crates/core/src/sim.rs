@@ -22,6 +22,7 @@ use crate::report::{
     WorkloadReport,
 };
 use concordia_platform::faults::{FaultKind, FaultTimeline};
+use concordia_platform::metrics::reliability;
 use concordia_platform::pool::{PoolConfig, ScheduledDag, VranPool};
 use concordia_platform::sched_api::{DedicatedScheduler, PoolScheduler};
 use concordia_platform::trace::{TraceEvent, TraceRecorder};
@@ -77,7 +78,6 @@ pub struct Simulation {
     /// Slot DAGs / violations already attributed to closed windows.
     win_dags: u64,
     win_viols: u64,
-    slot: u64,
     /// Last guard inflation the trace saw (change-detected so the trace
     /// carries one counter sample per change, not one per slot).
     last_traced_inflation: f64,
@@ -311,7 +311,6 @@ impl Simulation {
             shedding: false,
             win_dags: 0,
             win_viols: 0,
-            slot: 0,
             last_traced_inflation: 1.0,
             peak_guard_inflation: 1.0,
             last_traced_admission: AdmissionLevel::Normal,
@@ -528,7 +527,6 @@ impl Simulation {
                 let t = t0 + phase;
                 t_last = t;
                 self.pool.run_until(t);
-                self.slot = slot;
 
                 // Colocation pressure follows the mix schedule — unless
                 // admission control is shedding, which overrides it.
@@ -1151,13 +1149,6 @@ impl Simulation {
             return None;
         }
         let outcomes = self.pool.metrics().slots.outcomes();
-        let rel = |dags: u64, viols: u64| {
-            if dags == 0 {
-                1.0
-            } else {
-                1.0 - viols as f64 / dags as f64
-            }
-        };
         let windows = self
             .faults
             .windows
@@ -1189,13 +1180,13 @@ impl Simulation {
                     severity: w.severity,
                     dags_before: counts[0][0],
                     violations_before: counts[0][1],
-                    reliability_before: rel(counts[0][0], counts[0][1]),
+                    reliability_before: reliability(counts[0][0], counts[0][1]),
                     dags_during: counts[1][0],
                     violations_during: counts[1][1],
-                    reliability_during: rel(counts[1][0], counts[1][1]),
+                    reliability_during: reliability(counts[1][0], counts[1][1]),
                     dags_after: counts[2][0],
                     violations_after: counts[2][1],
-                    reliability_after: rel(counts[2][0], counts[2][1]),
+                    reliability_after: reliability(counts[2][0], counts[2][1]),
                     recovery_us: last_bad_after
                         .map_or(0.0, |t| t.saturating_sub(w.end).as_micros_f64()),
                 }
@@ -1214,7 +1205,9 @@ impl Simulation {
     fn workload_report(&self, kind: WorkloadKind) -> WorkloadReport {
         let m = self.pool.metrics();
         let p = kind.profile();
-        let achieved = p.achieved_ops(m.besteffort_core_time, m.evictions);
+        // Every wake evicts best-effort work from the core it takes back.
+        let evictions = m.wake_hist.total();
+        let achieved = p.achieved_ops(m.besteffort_core_time, evictions);
         let ideal = p.ideal_ops(self.cfg.cores, self.cfg.duration);
         WorkloadReport {
             kind: kind.name().to_string(),
@@ -1225,7 +1218,7 @@ impl Simulation {
                 self.cfg.cores,
                 self.cfg.duration,
                 m.besteffort_core_time,
-                m.evictions,
+                evictions,
             ),
         }
     }

@@ -1,11 +1,28 @@
 //! Experiment metrics: slot latency percentiles, deadline reliability,
 //! reclaimed CPU, scheduling-event histograms.
+//!
+//! The ledger keeps each fact once. A completed DAG is recorded by one
+//! call ([`PoolMetrics::record_completed`]), which decides its deadline
+//! outcome and updates both the aggregate recorder and the cell's
+//! ledger. A wake is counted once, in [`PoolMetrics::wake_hist`], and a
+//! task once, in [`PoolMetrics::counters`]; the summary derives its
+//! counts from them. Reliability is one formula ([`reliability`]).
 
 use concordia_ran::time::Nanos;
 use concordia_stats::hist::Log2Histogram;
-use concordia_stats::summary::quantile_sorted;
+use concordia_stats::summary::Ecdf;
 use serde::{Deserialize, Serialize};
-use std::cell::{Cell, RefCell};
+
+/// Fraction of `dags` that met their deadline, given `violations` among
+/// them (the reliability readout; the paper requires ≥ 0.99999). 1.0 when
+/// no DAG completed.
+pub fn reliability(dags: u64, violations: u64) -> f64 {
+    if dags == 0 {
+        1.0
+    } else {
+        1.0 - violations as f64 / dags as f64
+    }
+}
 
 /// Records per-slot (per-DAG) processing latencies and deadline outcomes.
 #[derive(Debug, Clone, Default)]
@@ -16,21 +33,6 @@ pub struct SlotLatencyRecorder {
     /// order — the raw material for per-fault-window reliability
     /// accounting (violations before/during/after each window).
     outcomes: Vec<SlotOutcome>,
-    /// Lazily rebuilt ascending copy of `latencies_us`, shared by every
-    /// quantile query until the next `record_at` invalidates it. Interior
-    /// mutability keeps `quantile_us` callable through `&self` (summaries
-    /// are read-only); the recorder is only ever owned by one pool, never
-    /// shared across threads.
-    sorted: RefCell<Vec<f64>>,
-    sorted_valid: Cell<bool>,
-    /// Full sorts performed — the regression guard that the summary path
-    /// sorts at most once per batch of recordings.
-    sorts: Cell<u64>,
-    /// NaN latency samples seen. A NaN is counted here and *excluded* from
-    /// the latency series (it has no place in a quantile or a mean) instead
-    /// of aborting the run — a multi-minute soak must not die on one
-    /// poisoned sample.
-    nan_samples: u64,
 }
 
 /// One completed DAG's timing outcome.
@@ -43,38 +45,10 @@ pub struct SlotOutcome {
 }
 
 impl SlotLatencyRecorder {
-    /// Creates an empty recorder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one completed DAG (completion time unknown / irrelevant).
-    pub fn record(&mut self, latency: Nanos, deadline_budget: Nanos) {
-        self.record_at(Nanos::ZERO, latency, deadline_budget);
-    }
-
-    /// Records one completed DAG together with its completion time, so
-    /// fault-window accounting can attribute it to a timeline phase.
-    pub fn record_at(&mut self, completed_at: Nanos, latency: Nanos, deadline_budget: Nanos) {
-        self.record_sample(
-            completed_at,
-            latency.as_micros_f64(),
-            latency > deadline_budget,
-        );
-    }
-
-    /// Raw-µs entry point for external recorders. A NaN latency is counted
-    /// in [`Self::nan_samples`] and otherwise dropped (no outcome, no
-    /// violation): it carries no ordering information, and the historical
-    /// behaviour — a `partial_cmp().expect()` panic on the next quantile
-    /// query — turned one bad sample into a dead soak.
-    pub fn record_sample(&mut self, completed_at: Nanos, latency_us: f64, violated: bool) {
-        if latency_us.is_nan() {
-            self.nan_samples += 1;
-            return;
-        }
-        self.latencies_us.push(latency_us);
-        self.sorted_valid.set(false);
+    /// Records one completed DAG with its completion time, so fault-window
+    /// accounting can attribute it to a timeline phase.
+    fn record_at(&mut self, completed_at: Nanos, latency: Nanos, violated: bool) {
+        self.latencies_us.push(latency.as_micros_f64());
         if violated {
             self.violations += 1;
         }
@@ -94,16 +68,6 @@ impl SlotLatencyRecorder {
         self.violations
     }
 
-    /// Fraction of DAGs that met their deadline (the reliability readout;
-    /// the paper requires ≥ 0.99999). Returns 1.0 for an empty recorder.
-    pub fn reliability(&self) -> f64 {
-        if self.latencies_us.is_empty() {
-            1.0
-        } else {
-            1.0 - self.violations as f64 / self.latencies_us.len() as f64
-        }
-    }
-
     /// Mean latency in µs.
     pub fn mean_us(&self) -> f64 {
         if self.latencies_us.is_empty() {
@@ -111,42 +75,6 @@ impl SlotLatencyRecorder {
         } else {
             self.latencies_us.iter().sum::<f64>() / self.latencies_us.len() as f64
         }
-    }
-
-    /// Latency quantile in µs (e.g. 0.9999 and 0.99999 for Fig. 11).
-    /// `None` when no DAG has completed — an empty tail is *unknown*, not
-    /// zero, and reporting 0 µs silently passed for perfect.
-    ///
-    /// The ascending view is cached: a summary requesting several
-    /// quantiles sorts once, not once per call (report generation used to
-    /// be O(k·n log n) at hundreds of thousands of samples).
-    pub fn quantile_us(&self, q: f64) -> Option<f64> {
-        if self.latencies_us.is_empty() {
-            return None;
-        }
-        if !self.sorted_valid.get() {
-            let mut s = self.sorted.borrow_mut();
-            s.clear();
-            s.extend_from_slice(&self.latencies_us);
-            // total_cmp: NaN can no longer reach this series (record_sample
-            // filters it), but a total order keeps the sort panic-free even
-            // if a future caller slips one through.
-            s.sort_by(f64::total_cmp);
-            drop(s);
-            self.sorted_valid.set(true);
-            self.sorts.set(self.sorts.get() + 1);
-        }
-        Some(quantile_sorted(&self.sorted.borrow(), q))
-    }
-
-    /// Full sorts performed so far (regression guard for the cached view).
-    pub fn sorts_performed(&self) -> u64 {
-        self.sorts.get()
-    }
-
-    /// NaN latency samples counted (and excluded) so far.
-    pub fn nan_samples(&self) -> u64 {
-        self.nan_samples
     }
 
     /// Raw latencies (µs) for downstream analysis.
@@ -174,29 +102,15 @@ pub struct CellCounters {
     pub violations: u64,
 }
 
-impl CellCounters {
-    /// Fraction of this cell's completed DAGs that met their deadline.
-    pub fn reliability(&self) -> f64 {
-        if self.completed == 0 {
-            1.0
-        } else {
-            1.0 - self.violations as f64 / self.completed as f64
-        }
-    }
-}
-
 /// Aggregate platform metrics for one experiment run.
 #[derive(Debug, Clone, Default)]
 pub struct PoolMetrics {
     /// Per-DAG latency recorder.
     pub slots: SlotLatencyRecorder,
-    /// Wake-latency histogram in µs buckets (Fig. 10).
+    /// Wake-latency histogram in µs buckets (Fig. 10), one entry per
+    /// worker wake. Its total is the run's wake count, and, since every
+    /// wake takes a core back from best-effort work, its eviction count.
     pub wake_hist: Log2Histogram,
-    /// Number of worker wake (scheduling) events.
-    pub wake_events: u64,
-    /// Number of vRAN-induced evictions of best-effort work (core taken
-    /// back from the OS).
-    pub evictions: u64,
     /// Total core-time granted to best-effort work.
     pub besteffort_core_time: Nanos,
     /// Total core-time the vRAN held cores (granted, whether busy or
@@ -204,10 +118,8 @@ pub struct PoolMetrics {
     pub vran_core_time: Nanos,
     /// Total core-time vRAN workers were actually executing tasks.
     pub vran_busy_time: Nanos,
-    /// Interference counters (Fig. 9).
+    /// Interference counters (Fig. 9), one entry per executed task.
     pub counters: crate::cache::CounterAccumulator,
-    /// Tasks executed.
-    pub tasks_executed: u64,
     /// Core-time spent offline due to injected core faults (counted toward
     /// neither the vRAN nor best-effort work).
     pub offline_core_time: Nanos,
@@ -233,13 +145,25 @@ impl PoolMetrics {
         self.cell_mut(cell).injected += 1;
     }
 
-    /// Counts one DAG of `cell` running to completion.
-    pub fn record_completed(&mut self, cell: u32, violated: bool) {
+    /// Records one DAG of `cell` completing at `completed_at` after
+    /// `latency`, in the aggregate recorder and in the cell's ledger.
+    /// Returns whether it missed its deadline (`latency` above
+    /// `deadline_budget`).
+    pub fn record_completed(
+        &mut self,
+        cell: u32,
+        completed_at: Nanos,
+        latency: Nanos,
+        deadline_budget: Nanos,
+    ) -> bool {
+        let violated = latency > deadline_budget;
+        self.slots.record_at(completed_at, latency, violated);
         let c = self.cell_mut(cell);
         c.completed += 1;
         if violated {
             c.violations += 1;
         }
+        violated
     }
 
     fn cell_mut(&mut self, cell: u32) -> &mut CellCounters {
@@ -253,23 +177,24 @@ impl PoolMetrics {
     /// Fraction of total core-time reclaimed for best-effort work
     /// (Fig. 8a's y-axis), given the pool size and the observed duration.
     pub fn reclaimed_fraction(&self, cores: u32, duration: Nanos) -> f64 {
-        let total = cores as f64 * duration.as_nanos() as f64;
-        if total <= 0.0 {
-            0.0
-        } else {
-            self.besteffort_core_time.as_nanos() as f64 / total
-        }
+        share_of_pool(self.besteffort_core_time, cores, duration)
     }
 
     /// vRAN CPU utilization over the whole pool (busy core-time over
     /// `cores × duration`) — the Fig. 4a "Avg CPU util" column.
     pub fn utilization_of_pool(&self, cores: u32, duration: Nanos) -> f64 {
-        let total = cores as f64 * duration.as_nanos() as f64;
-        if total <= 0.0 {
-            0.0
-        } else {
-            self.vran_busy_time.as_nanos() as f64 / total
-        }
+        share_of_pool(self.vran_busy_time, cores, duration)
+    }
+}
+
+/// `core_time` over the pool's `cores × duration` (0 for an empty pool or
+/// run): the one denominator of the pool-share readouts.
+fn share_of_pool(core_time: Nanos, cores: u32, duration: Nanos) -> f64 {
+    let total = cores as f64 * duration.as_nanos() as f64;
+    if total <= 0.0 {
+        0.0
+    } else {
+        core_time.as_nanos() as f64 / total
     }
 }
 
@@ -297,7 +222,7 @@ pub struct MetricsSummary {
     pub wake_events: u64,
     /// Wake events at or above 64 µs.
     pub wake_tail_events: u64,
-    /// Best-effort evictions.
+    /// Best-effort evictions (one per wake, so equal to `wake_events`).
     pub evictions: u64,
     /// Stall-cycle increase (%) vs isolated.
     pub stall_cycles_pct: f64,
@@ -316,41 +241,36 @@ pub struct MetricsSummary {
     pub wake_hist_counts: Vec<u64>,
     /// Per-cell DAG ledger, indexed by cell id.
     pub per_cell: Vec<CellCounters>,
-    /// NaN latency samples counted (and excluded from the latency series)
-    /// instead of aborting the run. Skipped when zero so reports from
-    /// NaN-free runs — every golden — keep their exact historical bytes.
-    #[serde(default, skip_serializing_if = "u64_is_zero")]
-    pub nan_samples: u64,
-}
-
-fn u64_is_zero(v: &u64) -> bool {
-    *v == 0
 }
 
 impl PoolMetrics {
     /// Produces the serializable summary.
     pub fn summary(&self, cores: u32, duration: Nanos) -> MetricsSummary {
+        let dags = self.slots.count();
+        let violations = self.slots.violations();
+        // One sort answers both tail quantiles.
+        let tail = Ecdf::new(self.slots.latencies_us());
+        let wakes = self.wake_hist.total();
         MetricsSummary {
-            dags: self.slots.count(),
-            violations: self.slots.violations(),
-            reliability: self.slots.reliability(),
+            dags,
+            violations,
+            reliability: reliability(dags as u64, violations),
             mean_latency_us: self.slots.mean_us(),
-            p9999_latency_us: self.slots.quantile_us(0.9999),
-            p99999_latency_us: self.slots.quantile_us(0.99999),
+            p9999_latency_us: tail.quantile(0.9999),
+            p99999_latency_us: tail.quantile(0.99999),
             reclaimed_fraction: self.reclaimed_fraction(cores, duration),
             pool_utilization: self.utilization_of_pool(cores, duration),
-            wake_events: self.wake_events,
+            wake_events: wakes,
             wake_tail_events: self.wake_hist.count_at_or_above(64),
-            evictions: self.evictions,
+            evictions: wakes,
             stall_cycles_pct: self.counters.deltas().stall_cycles_pct,
-            tasks_executed: self.tasks_executed,
+            tasks_executed: self.counters.tasks(),
             cores_failed: self.cores_failed,
             offload_fallbacks: self.offload_fallbacks,
             tasks_requeued: self.tasks_requeued,
             vran_busy_ms: self.vran_busy_time.as_millis_f64(),
             wake_hist_counts: self.wake_hist.counts().to_vec(),
             per_cell: self.per_cell.clone(),
-            nan_samples: self.slots.nan_samples(),
         }
     }
 }
@@ -361,7 +281,7 @@ mod tests {
 
     #[test]
     fn reliability_counts_violations() {
-        let mut r = SlotLatencyRecorder::new();
+        let mut m = PoolMetrics::new();
         let budget = Nanos::from_millis(1);
         for i in 0..1000 {
             let lat = if i < 3 {
@@ -369,25 +289,25 @@ mod tests {
             } else {
                 Nanos::from_micros(500)
             };
-            r.record(lat, budget);
+            m.record_completed(0, Nanos::ZERO, lat, budget);
         }
-        assert_eq!(r.violations(), 3);
-        assert!((r.reliability() - 0.997).abs() < 1e-12);
+        assert_eq!(m.slots.violations(), 3);
+        let s = m.summary(4, Nanos::from_secs(1));
+        assert!((s.reliability - 0.997).abs() < 1e-12);
+        assert_eq!(s.reliability, reliability(1000, 3));
     }
 
     #[test]
     fn empty_recorder_is_fully_reliable() {
-        let r = SlotLatencyRecorder::new();
-        assert_eq!(r.reliability(), 1.0);
-        assert_eq!(r.mean_us(), 0.0);
-        // The tail of zero samples is unknown, not zero.
-        assert_eq!(r.quantile_us(0.9999), None);
+        assert_eq!(reliability(0, 0), 1.0);
+        assert_eq!(PoolMetrics::new().slots.mean_us(), 0.0);
     }
 
     #[test]
     fn empty_quantile_surfaces_as_none_in_summary() {
         let m = PoolMetrics::new();
         let s = m.summary(4, Nanos::from_secs(1));
+        // The tail of zero samples is unknown, not zero.
         assert_eq!(s.p9999_latency_us, None);
         assert_eq!(s.p99999_latency_us, None);
         // The empty summary must survive a serde round trip: the old
@@ -400,102 +320,40 @@ mod tests {
     }
 
     #[test]
-    fn summary_path_sorts_at_most_once_per_recorder() {
+    fn summary_quantiles_match_direct_computation() {
         let mut m = PoolMetrics::new();
-        let budget = Nanos::from_millis(1);
-        for i in 0..500 {
-            m.slots.record(Nanos::from_micros(100 + i), budget);
-        }
-        assert_eq!(m.slots.sorts_performed(), 0);
-        // A full summary asks for two quantiles; several summaries and
-        // direct quantile queries still share one sort.
-        let s1 = m.summary(4, Nanos::from_secs(1));
-        let s2 = m.summary(4, Nanos::from_secs(1));
-        let _ = m.slots.quantile_us(0.5);
-        assert_eq!(m.slots.sorts_performed(), 1, "cached view must be reused");
-        assert_eq!(s1.p9999_latency_us, s2.p9999_latency_us);
-        // New samples invalidate the cache exactly once.
-        m.slots.record(Nanos::from_micros(9_000), budget);
-        assert_eq!(m.slots.quantile_us(1.0), Some(9_000.0));
-        let _ = m.slots.quantile_us(0.9999);
-        assert_eq!(m.slots.sorts_performed(), 2);
-    }
-
-    #[test]
-    fn cached_quantiles_match_direct_computation() {
-        let mut r = SlotLatencyRecorder::new();
         let budget = Nanos::from_millis(10);
         // Descending insertion order exercises the sort.
         for i in (0..1000).rev() {
-            r.record(Nanos::from_micros(i), budget);
+            m.record_completed(0, Nanos::ZERO, Nanos::from_micros(i), budget);
         }
-        let direct = concordia_stats::summary::quantile(r.latencies_us(), 0.9999);
-        assert_eq!(r.quantile_us(0.9999), direct);
-        assert_eq!(r.quantile_us(0.0), Some(0.0));
-        assert_eq!(r.quantile_us(1.0), Some(999.0));
+        let s = m.summary(4, Nanos::from_secs(1));
+        let lat = m.slots.latencies_us();
+        let direct = |q| concordia_stats::summary::quantile(lat, q).map(f64::to_bits);
+        assert_eq!(s.p9999_latency_us.map(f64::to_bits), direct(0.9999));
+        assert_eq!(s.p99999_latency_us.map(f64::to_bits), direct(0.99999));
     }
 
     #[test]
     fn quantiles_reflect_tail() {
-        let mut r = SlotLatencyRecorder::new();
+        let mut m = PoolMetrics::new();
         let budget = Nanos::from_millis(10);
         for _ in 0..9999 {
-            r.record(Nanos::from_micros(100), budget);
+            m.record_completed(0, Nanos::ZERO, Nanos::from_micros(100), budget);
         }
-        r.record(Nanos::from_micros(5_000), budget);
-        assert!(r.quantile_us(0.5).unwrap() < 150.0);
-        assert!(r.quantile_us(0.99999).unwrap() > 1_000.0);
-        assert!(r.quantile_us(1.0).unwrap() == 5_000.0);
-    }
-
-    #[test]
-    fn nan_latency_is_counted_not_fatal() {
-        let mut r = SlotLatencyRecorder::new();
-        let budget = Nanos::from_millis(1);
-        for i in 0..100 {
-            r.record(Nanos::from_micros(100 + i), budget);
-        }
-        r.record_sample(Nanos::from_millis(1), f64::NAN, false);
-        // The poisoned sample is ledgered, not stored: quantiles stay
-        // panic-free and finite, and the series length is unchanged.
-        assert_eq!(r.nan_samples(), 1);
-        assert_eq!(r.count(), 100);
-        assert_eq!(r.outcomes().len(), 100);
-        let q = r.quantile_us(0.9999).unwrap();
-        assert!(q.is_finite(), "quantile over NaN-free series: {q}");
-        assert_eq!(r.quantile_us(1.0), Some(199.0));
-    }
-
-    #[test]
-    fn nan_counter_surfaces_in_summary_only_when_nonzero() {
-        let mut m = PoolMetrics::new();
-        m.slots
-            .record(Nanos::from_micros(100), Nanos::from_millis(1));
-        let clean = serde_json::to_string(&m.summary(4, Nanos::from_secs(1))).unwrap();
-        assert!(
-            !clean.contains("nan_samples"),
-            "a NaN-free run must keep its historical report bytes: {clean}"
-        );
-        // The key appears once a NaN was seen, and old reports without the
-        // key still deserialize (defaulting to zero).
-        m.slots.record_sample(Nanos::ZERO, f64::NAN, false);
+        m.record_completed(0, Nanos::ZERO, Nanos::from_micros(5_000), budget);
         let s = m.summary(4, Nanos::from_secs(1));
-        assert_eq!(s.nan_samples, 1);
-        let json = serde_json::to_string(&s).unwrap();
-        assert!(json.contains("\"nan_samples\""));
-        let back: MetricsSummary = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.nan_samples, 1);
-        let old: MetricsSummary = serde_json::from_str(&clean).unwrap();
-        assert_eq!(old.nan_samples, 0);
+        assert!(s.p9999_latency_us.unwrap() < 150.0);
+        assert!(s.p99999_latency_us.unwrap() > 1_000.0);
     }
 
     #[test]
     fn outcomes_carry_completion_times() {
-        let mut r = SlotLatencyRecorder::new();
+        let mut m = PoolMetrics::new();
         let budget = Nanos::from_millis(1);
-        r.record_at(Nanos::from_millis(3), Nanos::from_micros(500), budget);
-        r.record_at(Nanos::from_millis(5), Nanos::from_millis(2), budget);
-        let o = r.outcomes();
+        assert!(!m.record_completed(0, Nanos::from_millis(3), Nanos::from_micros(500), budget));
+        assert!(m.record_completed(0, Nanos::from_millis(5), Nanos::from_millis(2), budget));
+        let o = m.slots.outcomes();
         assert_eq!(o.len(), 2);
         assert_eq!(o[0].completed_at, Nanos::from_millis(3));
         assert!(!o[0].violated);
@@ -521,11 +379,12 @@ mod tests {
     #[test]
     fn per_cell_ledger_tracks_each_cell_independently() {
         let mut m = PoolMetrics::new();
+        let budget = Nanos::from_millis(1);
         m.record_injected(0);
         m.record_injected(2);
         m.record_injected(2);
-        m.record_completed(0, false);
-        m.record_completed(2, true);
+        m.record_completed(0, Nanos::ZERO, Nanos::from_micros(500), budget);
+        m.record_completed(2, Nanos::ZERO, Nanos::from_millis(2), budget);
         // Cell 1 never appeared but the vector is dense up to the max id.
         assert_eq!(m.per_cell.len(), 3);
         assert_eq!(m.per_cell[0].injected, 1);
@@ -534,10 +393,9 @@ mod tests {
         assert_eq!(m.per_cell[1], CellCounters::default());
         assert_eq!(m.per_cell[2].injected, 2);
         assert_eq!(m.per_cell[2].violations, 1);
-        assert_eq!(m.per_cell[2].reliability(), 0.0);
-        assert_eq!(m.per_cell[1].reliability(), 1.0);
         let s = m.summary(4, Nanos::from_secs(1));
         assert_eq!(s.per_cell, m.per_cell);
+        assert_eq!((s.dags, s.violations), (2, 1));
         // And it survives the report round trip.
         let json = serde_json::to_string(&s).unwrap();
         let back: MetricsSummary = serde_json::from_str(&json).unwrap();
@@ -547,13 +405,20 @@ mod tests {
     #[test]
     fn summary_is_consistent() {
         let mut m = PoolMetrics::new();
-        m.slots
-            .record(Nanos::from_micros(100), Nanos::from_millis(1));
+        m.record_completed(
+            0,
+            Nanos::ZERO,
+            Nanos::from_micros(100),
+            Nanos::from_millis(1),
+        );
         m.wake_hist.record(80);
-        m.wake_events = 1;
+        m.counters.record_task(1.0);
         let s = m.summary(4, Nanos::from_secs(1));
         assert_eq!(s.dags, 1);
+        assert_eq!(s.wake_events, 1);
+        assert_eq!(s.evictions, 1);
         assert_eq!(s.wake_tail_events, 1);
+        assert_eq!(s.tasks_executed, 1);
         assert_eq!(s.reliability, 1.0);
     }
 }

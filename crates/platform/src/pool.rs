@@ -62,6 +62,11 @@ pub struct Observation {
 /// EMA smoothing for the utilization signal.
 const UTILIZATION_ALPHA: f64 = 0.05;
 
+/// The largest pool, in cores, that a configuration may ask for: the
+/// CLI, plans and scenarios refuse more. The largest pool any
+/// configuration in the repository runs has 320 cores.
+pub const MAX_CORES: u32 = 4_096;
+
 /// Pool configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct PoolConfig {
@@ -353,7 +358,7 @@ impl VranPool {
             violations: self.metrics.slots.violations(),
             granted_cores: self.granted_cores(),
             ready_tasks: self.arch.len() as u64,
-            tasks_executed: self.metrics.tasks_executed,
+            tasks_executed: self.metrics.counters.tasks(),
             offload_fallbacks: self.metrics.offload_fallbacks,
             tasks_requeued: self.metrics.tasks_requeued,
             guard_inflation,
@@ -1003,9 +1008,9 @@ impl VranPool {
                 let latency = self.now.saturating_sub(d.sched.dag.arrival);
                 let budget = d.sched.dag.deadline.saturating_sub(d.sched.dag.arrival);
                 let cell = d.sched.dag.cell_id;
-                let violated = latency > budget;
-                self.metrics.slots.record_at(self.now, latency, budget);
-                self.metrics.record_completed(cell, violated);
+                let violated = self
+                    .metrics
+                    .record_completed(cell, self.now, latency, budget);
                 self.trace_event(TraceEvent::DagComplete {
                     cell,
                     dag,
@@ -1135,7 +1140,6 @@ impl VranPool {
             }
         };
         self.metrics.counters.record_task(interference);
-        self.metrics.tasks_executed += 1;
         if !offload {
             self.observations.push(Observation {
                 cell,
@@ -1366,11 +1370,9 @@ impl VranPool {
                 + Nanos::from_micros_f64(1.0 + self.rng_os.f64() * 3.0);
             latency = latency.max(deferred);
         }
-        self.metrics.wake_events += 1;
         self.metrics
             .wake_hist
             .record(latency.as_micros_f64() as u64);
-        self.metrics.evictions += 1;
         self.trace_event(TraceEvent::CoreWake { core, latency });
         let now = self.now;
         self.metrics.besteffort_core_time += self.cores.wake(core as usize, now);
@@ -1519,7 +1521,7 @@ mod tests {
         assert_eq!(pool.active_dags(), 0);
         assert_eq!(pool.metrics().slots.count(), 1);
         assert_eq!(pool.metrics().slots.violations(), 0);
-        assert!(pool.metrics().tasks_executed > 5);
+        assert!(pool.metrics().counters.tasks() > 5);
     }
 
     #[test]
@@ -1559,7 +1561,7 @@ mod tests {
         pool.inject_dag(test_dag(Nanos::ZERO, 4_000, 2));
         pool.run_until(Nanos::from_millis(5));
         let obs = pool.drain_observations();
-        assert_eq!(obs.len() as u64, pool.metrics().tasks_executed);
+        assert_eq!(obs.len() as u64, pool.metrics().counters.tasks());
         assert!(obs.iter().all(|o| o.runtime_us > 0.0));
         // Draining empties the buffer.
         assert!(pool.drain_observations().is_empty());
@@ -1620,7 +1622,7 @@ mod tests {
             (55.0..=62.0).contains(&be_ms),
             "best-effort core-ms {be_ms}"
         );
-        assert!(m.wake_events >= 6);
+        assert!(m.wake_hist.total() >= 6);
     }
 
     #[test]
@@ -1639,9 +1641,7 @@ mod tests {
         pool.scheduler = Box::new(FixedCores(4));
         pool.run_until(Nanos::from_millis(2));
         let m = pool.metrics();
-        assert_eq!(m.wake_events, 4);
         assert_eq!(m.wake_hist.total(), 4);
-        assert_eq!(m.evictions, 4);
     }
 
     #[test]
@@ -1660,9 +1660,9 @@ mod tests {
         // ~10 rotations in 21 ms, each one wake.
         let m = pool.metrics();
         assert!(
-            (8..=14).contains(&(m.wake_events as i64)),
+            (8..=14).contains(&m.wake_hist.total()),
             "wake events {}",
-            m.wake_events
+            m.wake_hist.total()
         );
     }
 
@@ -1676,7 +1676,6 @@ mod tests {
         pool.inject_dag(sd);
         pool.run_until(Nanos::from_millis(50));
         assert_eq!(pool.metrics().slots.violations(), 1);
-        assert!(pool.metrics().slots.reliability() < 1.0);
     }
 
     #[test]
@@ -1736,7 +1735,7 @@ mod tests {
             pool.run_until(Nanos::from_millis(30));
             (
                 pool.metrics().slots.mean_us(),
-                pool.metrics().tasks_executed,
+                pool.metrics().counters.tasks(),
                 pool.metrics().vran_busy_time,
             )
         };
@@ -1993,7 +1992,7 @@ mod tests {
             pool.run_until(Nanos::from_millis(30));
             (
                 pool.metrics().slots.mean_us(),
-                pool.metrics().tasks_executed,
+                pool.metrics().counters.tasks(),
                 pool.metrics().tasks_requeued,
                 pool.metrics().cores_failed,
                 pool.metrics().vran_busy_time,
@@ -2027,10 +2026,10 @@ mod tests {
             pool.run_until(Nanos::from_millis(30));
             (
                 pool.metrics().slots.mean_us(),
-                pool.metrics().tasks_executed,
+                pool.metrics().counters.tasks(),
                 pool.metrics().tasks_requeued,
                 pool.metrics().vran_busy_time,
-                pool.metrics().wake_events,
+                pool.metrics().wake_hist.total(),
             )
         };
         assert_eq!(run(false), run(true), "tracing changed the outcome");
@@ -2152,6 +2151,80 @@ mod tests {
                     )
                 },
             )
+        }
+
+        /// The summary derives every count from one ledger, on a pool
+        /// that loses cores, storms and regrants on every tick.
+        #[test]
+        fn summary_derives_each_count_from_one_ledger() {
+            use crate::metrics::reliability;
+            use concordia_stats::hist::Log2Histogram;
+            use concordia_stats::summary::quantile;
+            let mut pool = VranPool::new(
+                PoolConfig {
+                    cores: 8,
+                    rotation: Some(Nanos::from_millis(2)),
+                    ..PoolConfig::default()
+                },
+                CostModel::new(),
+                Box::new(MovingTarget(0)),
+                17,
+            );
+            pool.set_pressure(0.5, 20.0);
+            let specs = vec![
+                FaultSpec::fixed(
+                    FaultKind::CoreOffline,
+                    Nanos::from_millis(10),
+                    Nanos::from_millis(40),
+                    0.5,
+                ),
+                FaultSpec::fixed(
+                    FaultKind::StormAmplification,
+                    Nanos::from_millis(20),
+                    Nanos::from_millis(60),
+                    10.0,
+                ),
+            ];
+            pool.set_fault_timeline(Arc::new(FaultPlan { specs }.resolve(17)));
+            for k in 0..200u64 {
+                let t = Nanos::from_micros(500 * k);
+                pool.run_until(t);
+                pool.inject_dag(cell_dag((k % 4) as u32, t, 6_000, 2));
+            }
+            pool.run_until(Nanos::from_millis(300));
+            assert_eq!(pool.active_dags(), 0);
+            let m = pool.metrics();
+            let s = m.summary(8, Nanos::from_millis(100));
+            // The run lost cores, and a storm held wakes back past 512 µs.
+            assert!(s.cores_failed > 0);
+            assert!(s.wake_hist_counts[Log2Histogram::bucket_of(512)..]
+                .iter()
+                .any(|&n| n > 0));
+
+            let lat = m.slots.latencies_us();
+            let bits = |q: Option<f64>| q.map(f64::to_bits);
+            assert_eq!(bits(s.p9999_latency_us), bits(quantile(lat, 0.9999)));
+            assert_eq!(bits(s.p99999_latency_us), bits(quantile(lat, 0.99999)));
+            let mut sum = 0.0;
+            for &l in lat {
+                sum += l;
+            }
+            assert_eq!(
+                s.mean_latency_us.to_bits(),
+                (sum / lat.len() as f64).to_bits()
+            );
+            let wakes: u64 = s.wake_hist_counts.iter().sum();
+            assert!(wakes > 0);
+            assert_eq!((s.wake_events, s.evictions), (wakes, wakes));
+            assert_eq!(
+                s.reliability.to_bits(),
+                reliability(s.dags as u64, s.violations).to_bits()
+            );
+            let completed: u64 = s.per_cell.iter().map(|c| c.completed).sum();
+            let violations: u64 = s.per_cell.iter().map(|c| c.violations).sum();
+            assert_eq!((completed, violations), (s.dags as u64, s.violations));
+            // Without offload every executed task is observed once.
+            assert_eq!(s.tasks_executed, pool.drain_observations().len() as u64);
         }
 
         proptest! {

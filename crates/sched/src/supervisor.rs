@@ -45,6 +45,7 @@
 //! advances only through `record` and `end_window`, so a seeded simulation
 //! drives the whole lifecycle byte-reproducibly.
 
+use concordia_platform::metrics;
 pub use concordia_platform::trace::{AdmissionLevel, LaneState};
 use concordia_predictor::api::{TrainingSample, WcetPredictor};
 use concordia_ran::features::FeatureVec;
@@ -542,11 +543,7 @@ impl PredictorSupervisor {
         }
 
         // Overload admission policy, driven by window reliability.
-        let reliability = if dags == 0 {
-            1.0
-        } else {
-            1.0 - violations as f64 / dags as f64
-        };
+        let reliability = metrics::reliability(dags, violations);
         if dags > 0 && reliability < SHED_RELIABILITY {
             self.overload_streak += 1;
         } else {

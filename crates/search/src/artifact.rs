@@ -217,12 +217,35 @@ mod tests {
                 Box::new(|a: &mut ReproArtifact| a.scenario.load = -0.5),
                 "load",
             ),
+            (
+                Box::new(|a: &mut ReproArtifact| a.scenario.n_cells = 1025),
+                "n_cells 1025 is above the maximum",
+            ),
+            (
+                Box::new(|a: &mut ReproArtifact| a.scenario.cores = u32::MAX),
+                "cores 4294967295 is above the maximum",
+            ),
         ] {
             let mut a = artifact();
             patch(&mut a);
             let err = ReproArtifact::from_json(&a.to_canonical_json()).expect_err(needle);
             assert!(err.to_string().contains(needle), "{err}");
         }
+    }
+
+    #[test]
+    fn parse_errors_name_the_field() {
+        let json = artifact().to_canonical_json();
+        // The scenario follows the base configuration, so the last
+        // `n_cells` line is the scenario's.
+        let at = json.rfind("\"n_cells\"").unwrap();
+        let end = at + json[at..].find('\n').unwrap() + 1;
+        let cut = format!("{}{}", &json[..at], &json[end..]);
+        let err = ReproArtifact::from_json(&cut).expect_err("missing field");
+        assert_eq!(
+            err.to_string(),
+            "artifact does not parse: scenario.n_cells: expected unsigned integer, got Null"
+        );
     }
 
     #[test]

@@ -140,6 +140,37 @@ mod tests {
     }
 
     #[test]
+    fn parse_errors_name_the_scenario_and_field() {
+        let json = corpus_json(&scenarios());
+        // Drop the second scenario's `n_cells` line.
+        let at = json.rfind("\"n_cells\"").unwrap();
+        let end = at + json[at..].find('\n').unwrap() + 1;
+        let cut = format!("{}{}", &json[..at], &json[end..]);
+        let err = parse_corpus(&cut).expect_err("missing field");
+        assert_eq!(
+            err.to_string(),
+            "corpus does not parse: scenarios[1].n_cells: expected unsigned integer, got Null"
+        );
+    }
+
+    #[test]
+    fn oversized_scenarios_are_rejected_with_their_index() {
+        let mut scs = scenarios();
+        scs[0].cores = u32::MAX;
+        let err = parse_corpus(&corpus_json(&scs)).expect_err("oversized pool");
+        assert!(
+            matches!(
+                err,
+                CorpusError::Scenario {
+                    index: 0,
+                    err: InvalidScenario::Dimension(_)
+                }
+            ),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn garbage_does_not_parse() {
         assert!(matches!(
             parse_corpus("{ not json").expect_err("garbage"),

@@ -336,7 +336,6 @@ mod tests {
                     completed: 500,
                     violations: 0,
                 }],
-                nan_samples: 0,
             },
             workload: None,
             fault: None,

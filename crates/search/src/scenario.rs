@@ -15,10 +15,11 @@
 //! guarantees termination and gives "minimal counterexample" a precise
 //! meaning.
 
-use concordia_core::config::SimConfig;
+use concordia_core::config::{SimConfig, MAX_CELLS};
 use concordia_core::reconfig::{ReconfigPlan, ReconfigPlanError, ReconfigStep};
 use concordia_core::{ScenarioError, ScenarioSpec};
 use concordia_platform::faults::{FaultKind, FaultPlan, FaultPlanError, FaultSpec};
+use concordia_platform::pool::MAX_CORES;
 use concordia_ran::time::Nanos;
 use concordia_stats::rng::Rng;
 use serde::{Deserialize, Serialize};
@@ -83,8 +84,20 @@ impl Scenario {
         if self.n_cells == 0 {
             return bad("n_cells must be at least 1");
         }
+        if self.n_cells > MAX_CELLS {
+            return bad(&format!(
+                "n_cells {} is above the maximum of {MAX_CELLS}",
+                self.n_cells
+            ));
+        }
         if self.cores == 0 {
             return bad("cores must be at least 1");
+        }
+        if self.cores > MAX_CORES {
+            return bad(&format!(
+                "cores {} is above the maximum of {MAX_CORES}",
+                self.cores
+            ));
         }
         if self.duration.as_nanos() == 0 {
             return bad("duration must be positive");
@@ -430,6 +443,30 @@ mod tests {
 
     fn space() -> SearchSpace {
         SearchSpace::around(&SimConfig::paper_20mhz())
+    }
+
+    #[test]
+    fn validate_refuses_sizes_above_the_maxima() {
+        let mut sc = space().baseline();
+        sc.n_cells = MAX_CELLS;
+        sc.cores = MAX_CORES;
+        assert_eq!(sc.validate(None), Ok(()));
+        let mut cells = sc.clone();
+        cells.n_cells = MAX_CELLS + 1;
+        assert_eq!(
+            cells.validate(None),
+            Err(InvalidScenario::Dimension(
+                "n_cells 1025 is above the maximum of 1024".into()
+            ))
+        );
+        let mut cores = sc.clone();
+        cores.cores = u32::MAX;
+        assert_eq!(
+            cores.validate(None),
+            Err(InvalidScenario::Dimension(
+                "cores 4294967295 is above the maximum of 4096".into()
+            ))
+        );
     }
 
     #[test]

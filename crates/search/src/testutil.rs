@@ -74,7 +74,6 @@ impl ThresholdEval {
                     completed: 500,
                     violations: if storm { 10 } else { 0 },
                 }],
-                nan_samples: 0,
             },
             workload: None,
             fault: None,

@@ -73,7 +73,6 @@ impl StormStub {
                     completed: 500,
                     violations: if storm { 10 } else { 0 },
                 }],
-                nan_samples: 0,
             },
             workload: None,
             fault: None,

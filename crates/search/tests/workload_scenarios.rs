@@ -65,7 +65,6 @@ impl FlashCrowdStub {
                     completed: 500,
                     violations: if bad { 25 } else { 0 },
                 }],
-                nan_samples: 0,
             },
             workload: None,
             fault: None,

@@ -1,8 +1,10 @@
 //! Fault-injection integration tests: determinism of the chaos layer and
 //! graceful degradation of the full stack, exercised through the facade.
 
-use concordia::core::{run_experiment, Colocation, SimConfig};
+use concordia::core::{run_experiment, Colocation, OfflineCache, SimConfig, Simulation};
+use concordia::platform::arch::PoolArchChoice;
 use concordia::platform::faults::{FaultKind, FaultPlan, FaultSpec, FaultTimeline};
+use concordia::platform::metrics::reliability;
 use concordia::platform::pool::{PoolConfig, ScheduledDag, VranPool};
 use concordia::platform::sched_api::DedicatedScheduler;
 use concordia::platform::workloads::WorkloadKind;
@@ -61,6 +63,64 @@ fn fault_report_phases_account_for_every_dag() {
     assert!(w.violations_after <= w.dags_after);
     // The pool actually lost cores and shed their work.
     assert!(r.metrics.cores_failed >= 1, "no core went offline");
+}
+
+/// Under every pool architecture, a faulted, supervised 4-cell run
+/// reports each count once: wakes and evictions are the wake histogram's
+/// total, reliability is the one formula, and the per-cell and per-phase
+/// ledgers add up to the aggregate.
+#[test]
+fn every_pool_reports_one_ledger_under_faults_and_supervision() {
+    let cache = OfflineCache::new();
+    for arch in PoolArchChoice::ALL {
+        let mut cfg = faulty_cfg(&[FaultKind::CoreOffline, FaultKind::StormAmplification]);
+        cfg.n_cells = 4;
+        cfg.duration = Nanos::from_millis(400);
+        cfg.faults = FaultPlan::chaos(
+            &[FaultKind::CoreOffline, FaultKind::StormAmplification],
+            cfg.duration,
+        );
+        cfg.supervisor = Some(Default::default());
+        cfg.pool = arch;
+        let r = Simulation::with_cache(cfg, &cache).run();
+        let m = &r.metrics;
+        let name = arch.name();
+        assert!(m.dags > 0 && m.cores_failed > 0, "{name}: {m:?}");
+        let wakes: u64 = m.wake_hist_counts.iter().sum();
+        assert_eq!((m.wake_events, m.evictions), (wakes, wakes), "{name}");
+        assert_eq!(
+            m.reliability.to_bits(),
+            reliability(m.dags as u64, m.violations).to_bits(),
+            "{name}"
+        );
+        assert!(m.p9999_latency_us <= m.p99999_latency_us, "{name}");
+        let completed: u64 = m.per_cell.iter().map(|c| c.completed).sum();
+        let violations: u64 = m.per_cell.iter().map(|c| c.violations).sum();
+        assert_eq!(m.per_cell.len(), 4, "{name}");
+        assert_eq!(
+            (completed, violations),
+            (m.dags as u64, m.violations),
+            "{name}"
+        );
+        for w in &r.fault.as_ref().expect("fault report").windows {
+            assert_eq!(
+                w.dags_before + w.dags_during + w.dags_after,
+                m.dags as u64,
+                "{name}"
+            );
+            assert_eq!(
+                w.violations_before + w.violations_during + w.violations_after,
+                m.violations,
+                "{name}"
+            );
+            assert_eq!(
+                w.reliability_during.to_bits(),
+                reliability(w.dags_during, w.violations_during).to_bits(),
+                "{name}"
+            );
+        }
+        assert!(r.supervisor.is_some(), "{name}");
+    }
 }
 
 #[test]
@@ -228,7 +288,7 @@ proptest! {
             (
                 pool.active_dags(),
                 pool.metrics().slots.count(),
-                pool.metrics().tasks_executed,
+                pool.metrics().counters.tasks(),
                 pool.metrics().tasks_requeued,
                 pool.metrics().cores_failed,
             )

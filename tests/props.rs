@@ -86,7 +86,7 @@ proptest! {
         }
         pool.run_until(Nanos::from_millis(200));
         prop_assert_eq!(pool.active_dags(), 0);
-        prop_assert_eq!(pool.metrics().tasks_executed, expected_tasks);
+        prop_assert_eq!(pool.metrics().counters.tasks(), expected_tasks);
         prop_assert_eq!(pool.metrics().slots.count(), wls.len());
     }
 
