@@ -109,8 +109,7 @@ fn main() {
         ("q0.99".to_string(), LeafStatistic::Quantile(0.99)),
         ("q0.9".to_string(), LeafStatistic::Quantile(0.9)),
     ] {
-        let mut m =
-            QuantileDecisionTree::fit_with(decode, &feats, &TreeConfig::default(), stat, 1.0);
+        let mut m = QuantileDecisionTree::fit_with(decode, &feats, &TreeConfig::default(), stat);
         let (miss, avg) = decode_eval(&mut m, &cost, 1.0, true, eval_n, seed ^ 1);
         println!("{name:<16} {miss:>10.4} {avg:>14.1}");
         results.leaf_stat.push((name, miss, avg));

@@ -30,7 +30,7 @@
 //! broken configuration's panic is contained, and Concordia recovers in
 //! every fault class.
 
-use concordia_bench::{banner, bool_flag, f64_flag, write_json, Gate, RunLength};
+use concordia_bench::{banner, bool_flag, fraction_flag, write_json, Gate, RunLength};
 use concordia_core::runner::run_parallel_results;
 use concordia_core::{Colocation, ExperimentReport, SchedulerChoice, SimConfig};
 use concordia_platform::faults::{FaultKind, FaultPlan};
@@ -95,7 +95,7 @@ fn row(report: &ExperimentReport, fault: FaultKind) -> ChaosRow {
 fn main() {
     let len = RunLength::from_args();
     let seed = concordia_bench::seed_from_args();
-    let load = f64_flag("--load", 0.6).clamp(0.0, 1.0);
+    let load = fraction_flag("--load", 0.6);
     let tracing = bool_flag("--trace");
     banner(
         "Chaos soak (fault injection across the pool, scheduler and accelerator path)",

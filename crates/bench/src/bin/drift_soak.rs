@@ -40,7 +40,8 @@
 //! The soak exits 1 unless the supervised run heals and the frozen one
 //! stays degraded.
 
-use concordia_bench::{banner, bool_flag, f64_flag, u64_flag, write_json, Gate};
+use concordia_bench::{banner, bool_flag, count_flag, fraction_flag, write_json, Gate};
+use concordia_core::config::MAX_DURATION;
 use concordia_core::{run_experiment, Colocation, ExperimentReport, SimConfig};
 use concordia_platform::faults::{FaultKind, FaultPlan, FaultSpec};
 use concordia_platform::metrics::reliability;
@@ -113,16 +114,18 @@ fn row(mode: &str, report: &ExperimentReport) -> DriftRow {
 
 fn main() {
     let seed = concordia_bench::seed_from_args();
-    let load = f64_flag("--load", 0.85).clamp(0.0, 1.0);
-    let windows = u64_flag("--windows", 200).max(10);
+    let load = fraction_flag("--load", 0.85);
+    let sup_cfg = SupervisorConfig::default();
+    let mut base = SimConfig::paper_100mhz();
+    let slot = base.cell.slot_duration();
+    // The run is `windows` supervisor windows, at most `MAX_DURATION`.
+    let max_windows = MAX_DURATION.as_nanos() / (slot * sup_cfg.window_slots).as_nanos();
+    let windows = count_flag("--windows", 200, max_windows).max(10);
     banner(
         "Drift soak (predictor control plane under a sustained feature-runtime drift)",
         "the supervisor detects, quarantines, retrains and readmits while a frozen model stays degraded",
     );
 
-    let sup_cfg = SupervisorConfig::default();
-    let mut base = SimConfig::paper_100mhz();
-    let slot = base.cell.slot_duration();
     let dur = slot.scale((windows * sup_cfg.window_slots) as f64);
     // The drift opens after calibration plus a healthy baseline stretch
     // and holds for 60% of the run. The early phase (30-60%) is where

@@ -14,9 +14,8 @@
 //! * the KS test rejects equality of isolated vs interfered runtime
 //!   distributions with p << 0.001 (§4.1 challenge 2).
 
-use concordia_bench::{banner, write_json, RunLength};
+use concordia_bench::{banner, interference, write_json, RunLength};
 use concordia_core::profile::{profile, random_workload};
-use concordia_core::PredictorChoice;
 use concordia_predictor::qdt::QuantileDecisionTree;
 use concordia_predictor::tree::TreeConfig;
 use concordia_ran::cost::CostModel;
@@ -84,7 +83,6 @@ fn main() {
         tree.n_leaves(),
         decode.len()
     );
-    let _ = PredictorChoice::QuantileDt; // the trained variant under study
 
     // Collect fresh isolated + interfered samples per leaf (TPCC-like
     // pressure 1.1 on a cold-ish pool => interference factor ~1.15-1.3).
@@ -109,7 +107,7 @@ fn main() {
                     .as_micros_f64(),
             );
             // TPCC-like interference factor distribution.
-            let f = 1.0 + 1.1 * 0.18 * rng.lognormal(0.0, 0.35);
+            let f = interference(1.1, &mut rng);
             intf[leaf].push(
                 cost.sample_runtime(TaskKind::LdpcDecode, &p, f, &mut rng)
                     .as_micros_f64(),

@@ -9,6 +9,7 @@
 
 use concordia_bench::{banner, write_json, RunLength};
 use concordia_core::{run_experiment, Colocation, SchedulerChoice, SimConfig};
+use concordia_platform::cache::{L1_MISS_PER_STALL, LLC_LOADS_PER_STALL};
 use concordia_platform::workloads::WorkloadKind;
 use concordia_ran::Nanos;
 use serde::Serialize;
@@ -45,23 +46,24 @@ fn main() {
         cfg.seed = seed;
         let r = run_experiment(cfg);
         // The counter model reports the stall increase; L1/LLC move
-        // proportionally (see concordia-platform::cache).
+        // proportionally.
         let stall = r.metrics.stall_cycles_pct;
-        println!(
-            "{:<12} {:>16.1} {:>16.1} {:>16.1} {:>10}",
-            r.scheduler,
-            stall,
-            stall * 0.6,
-            stall * 0.8,
-            r.metrics.wake_events
-        );
-        rows.push(Fig9Row {
+        let row = Fig9Row {
             scheduler: r.scheduler.clone(),
             stall_cycles_pct: stall,
-            l1_miss_pct: stall * 0.6,
-            llc_loads_pct: stall * 0.8,
+            l1_miss_pct: stall * L1_MISS_PER_STALL,
+            llc_loads_pct: stall * LLC_LOADS_PER_STALL,
             wake_events: r.metrics.wake_events,
-        });
+        };
+        println!(
+            "{:<12} {:>16.1} {:>16.1} {:>16.1} {:>10}",
+            row.scheduler,
+            row.stall_cycles_pct,
+            row.l1_miss_pct,
+            row.llc_loads_pct,
+            row.wake_events
+        );
+        rows.push(row);
     }
 
     let flex = rows.iter().find(|r| r.scheduler == "flexran").unwrap();

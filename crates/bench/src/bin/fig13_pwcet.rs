@@ -3,7 +3,7 @@
 //!
 //! Paper claims reproduced here:
 //! * Concordia's quantile decision tree reclaims more CPU than the
-//!   EVT-based single-value pWCET of [23] (up to ~20 % more reclaimed
+//!   EVT-based single-value pWCET of \[23\] (up to ~20 % more reclaimed
 //!   cycles in the paper), because the single value must be sized for the
 //!   worst input and is therefore pessimistic for the typical slot;
 //! * the latency benefit of the pessimistic model is marginal (~5 µs).

@@ -16,17 +16,13 @@
 //!
 //! Scenarios: {1, 2} FDD cells × {isolated, +redis, +tpcc} on 4 cores.
 
-use concordia_bench::{banner, write_json, RunLength};
-use concordia_core::profile::random_workload;
+use concordia_bench::{banner, prediction_accuracy, write_json, RunLength};
 use concordia_core::profile::{profile, train_predictor};
 use concordia_core::{run_experiment, Colocation, PredictorChoice, SimConfig};
 use concordia_platform::workloads::WorkloadKind;
 use concordia_ran::cost::CostModel;
-use concordia_ran::features::extract;
-use concordia_ran::numerology::SlotDirection;
 use concordia_ran::task::TaskKind;
 use concordia_ran::{CellConfig, Nanos};
-use concordia_stats::rng::Rng;
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -41,64 +37,6 @@ struct PredictorScore {
 struct FullDagScore {
     scenario: String,
     deadline_miss_pct: f64,
-}
-
-/// Evaluates a model's per-task miss rate and average over-prediction on
-/// fresh samples with the scenario's interference factor, feeding
-/// observations online as the paper's adapted baselines do.
-fn evaluate(
-    model: &mut dyn concordia_predictor::WcetPredictor,
-    cell: &CellConfig,
-    cost: &CostModel,
-    pressure: f64,
-    samples: usize,
-    seed: u64,
-) -> (f64, f64) {
-    let mut rng = Rng::new(seed);
-    let mut misses = 0u64;
-    let mut met = 0u64;
-    let mut err_sum = 0.0;
-    let mut produced = 0usize;
-    // The paper measures steady-state 5-minute runs with online adaptation
-    // active throughout; the first fifth here is warm-up (observed but not
-    // scored) so cold leaf buffers don't dominate short runs.
-    let warmup = samples / 5;
-    while produced < samples {
-        let wl = random_workload(cell, SlotDirection::Uplink, &mut rng);
-        let dag = concordia_ran::dag::build_dag(cell, 0, 0, concordia_ran::Nanos::ZERO, &wl);
-        for node in &dag.nodes {
-            if node.task.kind != TaskKind::LdpcDecode {
-                continue;
-            }
-            let mut p = node.task.params;
-            p.pool_cores = 4;
-            // Interference factor mirrors the cache model's cold-ish pool.
-            let f = if pressure > 0.0 {
-                1.0 + pressure * 0.18 * rng.lognormal(0.0, 0.35)
-            } else {
-                1.0
-            };
-            let runtime = cost
-                .sample_runtime(TaskKind::LdpcDecode, &p, f, &mut rng)
-                .as_micros_f64();
-            let x = extract(&p);
-            let pred = model.predict_us(&x);
-            if produced >= warmup {
-                if runtime > pred {
-                    misses += 1;
-                } else {
-                    met += 1;
-                    err_sum += pred - runtime;
-                }
-            }
-            model.observe(&x, runtime);
-            produced += 1;
-        }
-    }
-    (
-        misses as f64 / (misses + met) as f64 * 100.0,
-        if met > 0 { err_sum / met as f64 } else { 0.0 },
-    )
 }
 
 fn main() {
@@ -146,8 +84,9 @@ fn main() {
     for m in models {
         for (scen, pressure) in &scenarios {
             let mut model = train_predictor(TaskKind::LdpcDecode, decode, m, &cost);
-            let (miss, err) = evaluate(
+            let (miss, err) = prediction_accuracy(
                 model.as_mut(),
+                TaskKind::LdpcDecode,
                 &cell,
                 &cost,
                 *pressure,

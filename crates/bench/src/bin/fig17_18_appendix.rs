@@ -10,16 +10,13 @@
 //! * the quantile decision tree has a consistently small average WCET
 //!   prediction error across tasks (Fig. 18).
 
-use concordia_bench::{banner, write_json, RunLength};
-use concordia_core::profile::{profile, random_workload, train_predictor};
+use concordia_bench::{banner, prediction_accuracy, write_json, RunLength};
+use concordia_core::profile::{profile, train_predictor};
 use concordia_core::PredictorChoice;
 use concordia_platform::workloads::WorkloadKind;
 use concordia_ran::cost::CostModel;
-use concordia_ran::features::extract;
-use concordia_ran::numerology::SlotDirection;
 use concordia_ran::task::TaskKind;
 use concordia_ran::CellConfig;
-use concordia_stats::rng::Rng;
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -86,48 +83,15 @@ fn main() {
             print!("{:<20}", m.name());
             for (scen, pressure) in &scenarios {
                 let mut model = train_predictor(task, samples, m, &cost);
-                let mut rng = Rng::new(seed ^ (task.index() as u64) << 8);
-                let (mut misses, mut met, mut err) = (0u64, 0u64, 0.0f64);
-                let mut produced = 0usize;
-                let warmup = eval_samples / 5;
-                let dl_task = matches!(task, TaskKind::LdpcEncode | TaskKind::Precoding);
-                while produced < eval_samples {
-                    let dir = if dl_task {
-                        SlotDirection::Downlink
-                    } else {
-                        SlotDirection::Uplink
-                    };
-                    let wl = random_workload(&cell, dir, &mut rng);
-                    let dag =
-                        concordia_ran::dag::build_dag(&cell, 0, 0, concordia_ran::Nanos::ZERO, &wl);
-                    for node in &dag.nodes {
-                        if node.task.kind != task {
-                            continue;
-                        }
-                        let mut p = node.task.params;
-                        p.pool_cores = 4;
-                        let f = if *pressure > 0.0 {
-                            1.0 + pressure * 0.18 * rng.lognormal(0.0, 0.35)
-                        } else {
-                            1.0
-                        };
-                        let runtime = cost.sample_runtime(task, &p, f, &mut rng).as_micros_f64();
-                        let x = extract(&p);
-                        let pred = model.predict_us(&x);
-                        if produced >= warmup {
-                            if runtime > pred {
-                                misses += 1;
-                            } else {
-                                met += 1;
-                                err += pred - runtime;
-                            }
-                        }
-                        model.observe(&x, runtime);
-                        produced += 1;
-                    }
-                }
-                let miss_pct = misses as f64 / (misses + met) as f64 * 100.0;
-                let avg_err = if met > 0 { err / met as f64 } else { 0.0 };
+                let (miss_pct, avg_err) = prediction_accuracy(
+                    model.as_mut(),
+                    task,
+                    &cell,
+                    &cost,
+                    *pressure,
+                    eval_samples,
+                    seed ^ (task.index() as u64) << 8,
+                );
                 print!(" {miss_pct:>6.3}/{avg_err:<7.1}");
                 scores.push(Score {
                     task: task.name().into(),

@@ -10,7 +10,8 @@
 //!
 //! Example: `cargo run --release -p concordia-bench --bin reliability_soak -- --secs 300`
 
-use concordia_bench::{banner, quantile_or_nan, write_json};
+use concordia_bench::{banner, count_flag, quantile_or_nan, write_json};
+use concordia_core::config::MAX_DURATION;
 use concordia_core::{Colocation, SimConfig, Simulation};
 use concordia_ran::Nanos;
 use serde::Serialize;
@@ -26,7 +27,7 @@ struct SoakRow {
 }
 
 fn main() {
-    let secs = concordia_bench::u64_flag("--secs", 60);
+    let secs = count_flag("--secs", 60, MAX_DURATION.as_nanos() / 1_000_000_000);
     let seed = concordia_bench::seed_from_args();
     banner(
         "Reliability soak (mixed workload, long run)",

@@ -1,7 +1,8 @@
 //! Scheduler matrix — minimum pool cores × pool architecture × pooled
 //! cells.
 //!
-//! PR 9 made the worker pool a pluggable [`PoolArchitecture`]: the
+//! The worker pool is a pluggable
+//! [`PoolArchitecture`](concordia_platform::sched_api::PoolArchitecture): the
 //! paper's centralized EDF queue against centralized FCFS, per-cell
 //! dFCFS with static cell→core affinity, seeded work stealing, and a
 //! FH/PHY/MAC pipeline partition. This bench reuses the Table-2 sizing
@@ -24,7 +25,9 @@
 //! Example:
 //! `cargo run -p concordia-bench --release --bin sched_matrix -- --quick`
 
-use concordia_bench::{banner, f64_flag, jobs_from_args, min_cores, write_json, Gate, RunLength};
+use concordia_bench::{
+    banner, fraction_flag, jobs_from_args, min_cores, write_json, Gate, RunLength,
+};
 use concordia_core::SimConfig;
 use concordia_platform::arch::PoolArchChoice;
 use concordia_ran::Nanos;
@@ -46,7 +49,7 @@ fn main() {
     let len = RunLength::from_args();
     let seed = concordia_bench::seed_from_args();
     let jobs = jobs_from_args();
-    let load = f64_flag("--load", 1.0).clamp(0.0, 1.0);
+    let load = fraction_flag("--load", 1.0);
     let arches: Vec<PoolArchChoice> = match std::env::args()
         .skip_while(|a| a != "--pool")
         .nth(1)

@@ -18,7 +18,9 @@
 //! for every C >= 4 and the saving grows with C. `--jobs N` caps the
 //! worker threads (output bytes never depend on it).
 
-use concordia_bench::{banner, f64_flag, jobs_from_args, min_cores, write_json, Gate, RunLength};
+use concordia_bench::{
+    banner, fraction_flag, jobs_from_args, min_cores, write_json, Gate, RunLength,
+};
 use concordia_core::SimConfig;
 use concordia_ran::Nanos;
 use serde::Serialize;
@@ -39,7 +41,7 @@ fn main() {
     let len = RunLength::from_args();
     let seed = concordia_bench::seed_from_args();
     let jobs = jobs_from_args();
-    let load = f64_flag("--load", 1.0).clamp(0.0, 1.0);
+    let load = fraction_flag("--load", 1.0);
     banner(
         "Table 2 scale-out (minimum pool cores vs pooled cells)",
         "one shared Concordia pool needs fewer cores than C static per-cell partitions, \

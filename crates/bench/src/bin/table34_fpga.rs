@@ -10,7 +10,7 @@
 
 use concordia_bench::{banner, min_cores, pct, write_json, RunLength};
 use concordia_core::{Colocation, SimConfig};
-use concordia_ran::accel::FpgaModel;
+use concordia_ran::accel::{service_latency, SUBMIT_COST};
 use concordia_ran::cost::CostModel;
 use concordia_ran::dag::{build_dag, SlotWorkload, UeAlloc};
 use concordia_ran::numerology::SlotDirection;
@@ -64,7 +64,6 @@ fn main() {
     // ---- Table 4: per-slot time split on one core ----
     let cell = CellConfig::tdd_100mhz();
     let cost = CostModel::new();
-    let fpga = FpgaModel::default();
     let mut t4 = Vec::new();
     println!(
         "\nTable 4 — average slot processing on 1 core (µs):\n{:<10} {:>16} {:>14} {:>7}   (paper UL: 515 vs 1414; DL: 196 vs 366)",
@@ -77,10 +76,8 @@ fn main() {
         let mut fpga_us = 0.0;
         for node in &dag.nodes {
             if node.task.kind.offloadable() {
-                cpu_us += fpga.submit_cost().as_micros_f64();
-                fpga_us += fpga
-                    .service_latency(node.task.kind, node.task.params.n_cbs)
-                    .as_micros_f64();
+                cpu_us += SUBMIT_COST.as_micros_f64();
+                fpga_us += service_latency(node.task.kind, node.task.params.n_cbs).as_micros_f64();
             } else {
                 cpu_us += cost
                     .expected_cost(node.task.kind, &node.task.params)

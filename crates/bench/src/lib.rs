@@ -6,12 +6,21 @@
 //! reports and writing machine-readable JSON under `bench-results/`.
 //!
 //! Shared here: flag parsing, run-length presets, output handling, the
-//! minimum-pool search, the soaks' pass/fail [`Gate`] and tiny table
-//! formatting.
+//! minimum-pool search, the predictor-accuracy evaluator of Figs. 14, 17
+//! and 18 with its interference law, the soaks' pass/fail [`Gate`] and
+//! tiny table formatting.
 
 use concordia_core::config::MAX_CELLS;
+use concordia_core::profile::random_workload;
 use concordia_core::runner::{run_parallel, MAX_JOBS};
 use concordia_core::{ExperimentReport, SimConfig};
+use concordia_predictor::WcetPredictor;
+use concordia_ran::cost::CostModel;
+use concordia_ran::dag::build_dag;
+use concordia_ran::features::extract;
+use concordia_ran::task::TaskKind;
+use concordia_ran::{CellConfig, Nanos};
+use concordia_stats::rng::Rng;
 use serde::Serialize;
 use std::fmt::Display;
 use std::ops::RangeInclusive;
@@ -100,9 +109,14 @@ pub fn jobs_from_args() -> usize {
     count_flag("--jobs", default, MAX_JOBS)
 }
 
-/// Parses a `--flag X.Y` float from the process arguments.
-pub fn f64_flag(name: &str, default: f64) -> f64 {
-    flag_value(name).unwrap_or(default)
+/// Parses a `--flag F` fraction in `[0, 1]` from the process arguments; a
+/// value outside it (NaN included), or a malformed one, exits 2.
+pub fn fraction_flag(name: &str, default: f64) -> f64 {
+    let args: Vec<String> = std::env::args().collect();
+    bounded_fraction(&args, name, default).unwrap_or_else(|msg| {
+        eprintln!("{msg}");
+        std::process::exit(2)
+    })
 }
 
 /// True when a bare `--flag` is present in the process arguments.
@@ -144,6 +158,19 @@ where
     match T::try_from(n) {
         Ok(t) if n > 0 && t <= max => Ok(t),
         _ => Err(format!("{name} {n} is outside 1..={max}")),
+    }
+}
+
+/// `name`'s fraction in `args` (`default` when absent), refused with a
+/// message naming the flag unless it is in `[0, 1]`.
+fn bounded_fraction(args: &[String], name: &str, default: f64) -> Result<f64, String> {
+    let Some(x) = parse_flag::<f64>(args, name)? else {
+        return Ok(default);
+    };
+    if (0.0..=1.0).contains(&x) {
+        Ok(x)
+    } else {
+        Err(format!("{name} {x} is outside [0, 1]"))
     }
 }
 
@@ -206,6 +233,74 @@ pub fn min_cores(
         }
     }
     largest.expect("min_cores needs at least one candidate")
+}
+
+/// The harness's interference law for tasks sampled outside the pool: the
+/// runtime factor under best-effort cache `pressure` on a cold-ish pool,
+/// `1 + pressure · 0.18 · lognormal(0, 0.35)`, and exactly 1 (with no
+/// draw) when isolated.
+pub fn interference(pressure: f64, rng: &mut Rng) -> f64 {
+    if pressure > 0.0 {
+        1.0 + pressure * 0.18 * rng.lognormal(0.0, 0.35)
+    } else {
+        1.0
+    }
+}
+
+/// Per-task accuracy of a WCET model (Figs. 14, 17 and 18): draws random
+/// workloads of `task`'s slot direction on `cell` from `seed`, samples
+/// every `task` node's runtime on a 4-core pool under `pressure` (see
+/// [`interference`]), and feeds each observation back online, as the
+/// paper's adapted baselines do, until `samples` tasks ran. The paper
+/// measures steady-state runs with online adaptation active throughout,
+/// so the first fifth is warm-up, observed but not scored, and cold leaf
+/// buffers do not dominate short runs.
+///
+/// Returns the percentage of scored tasks whose runtime exceeded the
+/// prediction, and the mean over-prediction (µs) of the others (0 when
+/// every one missed).
+pub fn prediction_accuracy(
+    model: &mut dyn WcetPredictor,
+    task: TaskKind,
+    cell: &CellConfig,
+    cost: &CostModel,
+    pressure: f64,
+    samples: usize,
+    seed: u64,
+) -> (f64, f64) {
+    let mut rng = Rng::new(seed);
+    let (mut misses, mut met, mut err_sum) = (0u64, 0u64, 0.0f64);
+    let mut produced = 0usize;
+    let warmup = samples / 5;
+    while produced < samples {
+        let wl = random_workload(cell, task.direction(), &mut rng);
+        let dag = build_dag(cell, 0, 0, Nanos::ZERO, &wl);
+        for node in &dag.nodes {
+            if node.task.kind != task {
+                continue;
+            }
+            let mut p = node.task.params;
+            p.pool_cores = 4;
+            let f = interference(pressure, &mut rng);
+            let runtime = cost.sample_runtime(task, &p, f, &mut rng).as_micros_f64();
+            let x = extract(&p);
+            let pred = model.predict_us(&x);
+            if produced >= warmup {
+                if runtime > pred {
+                    misses += 1;
+                } else {
+                    met += 1;
+                    err_sum += pred - runtime;
+                }
+            }
+            model.observe(&x, runtime);
+            produced += 1;
+        }
+    }
+    (
+        misses as f64 / (misses + met) as f64 * 100.0,
+        if met > 0 { err_sum / met as f64 } else { 0.0 },
+    )
 }
 
 /// A soak's pass/fail verdict. The soak records each property that fails
@@ -290,7 +385,7 @@ mod tests {
         // The test binary's argv carries no such flags, so both helpers
         // must return the caller's default.
         assert_eq!(u64_flag("--windows", 200), 200);
-        assert!((f64_flag("--load", 0.6) - 0.6).abs() < 1e-12);
+        assert_eq!(fraction_flag("--load", 0.6), 0.6);
         assert!(!bool_flag("--trace"));
     }
 
@@ -334,6 +429,66 @@ mod tests {
             jobs("257"),
             Err("--jobs 257 is outside 1..=256".to_string())
         );
+    }
+
+    #[test]
+    fn fractions_outside_the_unit_interval_are_refused_by_name() {
+        let load = |v: &str| bounded_fraction(&args(&["soak", "--load", v]), "--load", 0.6);
+        assert_eq!(bounded_fraction(&args(&["soak"]), "--load", 0.6), Ok(0.6));
+        for (v, x) in [("0", 0.0), ("0.25", 0.25), ("1", 1.0)] {
+            assert_eq!(load(v), Ok(x));
+        }
+        // `clamp` passed NaN through and ran 5 at 1.0.
+        for v in ["NaN", "5", "-0.1", "1.0000001", "inf"] {
+            let e = load(v).unwrap_err();
+            assert!(
+                e.starts_with("--load ") && e.ends_with("is outside [0, 1]"),
+                "{e}"
+            );
+        }
+        let e = load("most").unwrap_err();
+        assert!(e.contains("--load") && e.contains("most"), "{e}");
+    }
+
+    /// A model that predicts one fixed WCET and keeps every observation.
+    struct FixedWcet {
+        wcet_us: f64,
+        seen: Vec<f64>,
+    }
+
+    impl WcetPredictor for FixedWcet {
+        fn predict_us(&self, _: &concordia_ran::features::FeatureVec) -> f64 {
+            self.wcet_us
+        }
+
+        fn observe(&mut self, _: &concordia_ran::features::FeatureVec, runtime_us: f64) {
+            self.seen.push(runtime_us);
+        }
+    }
+
+    #[test]
+    fn prediction_accuracy_scores_fixed_predictors() {
+        let cell = CellConfig::fdd_20mhz();
+        let cost = CostModel::new();
+        let mut zero = FixedWcet {
+            wcet_us: 0.0,
+            seen: Vec::new(),
+        };
+        let score = prediction_accuracy(&mut zero, TaskKind::LdpcDecode, &cell, &cost, 0.0, 500, 1);
+        assert_eq!(score, (100.0, 0.0));
+        assert!(zero.seen.len() >= 500);
+
+        let mut large = FixedWcet {
+            wcet_us: 1e9,
+            seen: Vec::new(),
+        };
+        let (miss, err) =
+            prediction_accuracy(&mut large, TaskKind::Precoding, &cell, &cost, 1.1, 500, 2);
+        assert_eq!(miss, 0.0);
+        // The first fifth is warm-up; every later task met its deadline.
+        let scored = &large.seen[100..];
+        let expected = scored.iter().map(|r| 1e9 - r).sum::<f64>() / scored.len() as f64;
+        assert_eq!(err, expected);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Minimal dependency-free argument parsing for the `concordia` CLI.
 
-use concordia_core::config::MAX_CELLS;
+use concordia_core::config::{MAX_CELLS, MAX_DURATION};
 use concordia_core::runner::{MAX_JOBS, MAX_REPEATS};
 use concordia_core::{
     Colocation, PredictorChoice, ReconfigPlan, ScenarioSpec, SchedulerChoice, SimConfig,
@@ -10,6 +10,7 @@ use concordia_platform::faults::{FaultKind, FaultPlan};
 use concordia_platform::pool::MAX_CORES;
 use concordia_platform::trace::TraceConfig;
 use concordia_platform::workloads::WorkloadKind;
+use concordia_ran::cell::MAX_DEADLINE;
 use concordia_ran::{CellConfig, Nanos};
 use concordia_sched::concordia::ConcordiaConfig;
 use concordia_sched::supervisor::SupervisorConfig;
@@ -32,9 +33,10 @@ OPTIONS:
   --colocate W                isolated | redis | nginx | tpcc | mlperf | mix
                               (default redis)
   --load F                    traffic load fraction 0-1 (default 0.5)
-  --secs N                    online duration in seconds (default 5)
+  --secs N                    online duration in seconds, 1-1000000
+                              (default 5)
   --seed N                    root seed (default 2021)
-  --deadline-us N             override the DAG deadline
+  --deadline-us N             override the DAG deadline, 1-1000000 us
   --fpga                      enable the FPGA LDPC offload (sec. 7)
   --mac                       run MAC schedulers in the pool (sec. 7)
   --peak                      peak-provisioning traffic (Table 2 sizing)
@@ -115,8 +117,8 @@ OPTIONS:
 EXIT CODES (--replay):
   0  the artifact no longer violates its oracle (bug fixed / not reproduced)
   1  the violation is confirmed (the counterexample still fails)
-  2  the artifact is invalid (unreadable, unparseable, wrong version, or
-     out-of-range scenario)
+  2  the artifact is invalid (unreadable, unparseable, wrong version,
+     out-of-range scenario, or a base deadline above 1000000 us)
 ";
 
 /// Parse error with a human message.
@@ -127,15 +129,16 @@ fn err<T>(msg: impl Into<String>) -> Result<T, CliError> {
     Err(CliError(msg.into()))
 }
 
-/// A duration read as `value` units of `flag`, refused if its nanosecond
-/// count does not fit the simulated clock.
-fn duration(flag: &str, value: u64, checked: fn(u64) -> Option<Nanos>) -> Result<Nanos, CliError> {
-    checked(value).ok_or_else(|| {
-        CliError(format!(
-            "{flag} {value} is longer than the simulated clock holds ({} s)",
-            u64::MAX / 1_000_000_000
-        ))
-    })
+/// A duration read as `value` `unit`s of `flag`, refused by name unless it
+/// is at most `max`.
+fn duration(flag: &str, value: u64, unit: Nanos, max: Nanos) -> Result<Nanos, CliError> {
+    match value.checked_mul(unit.as_nanos()) {
+        Some(ns) if Nanos(ns) <= max => Ok(Nanos(ns)),
+        _ => err(format!(
+            "{flag} {value} is above the maximum of {}",
+            max.as_nanos() / unit.as_nanos()
+        )),
+    }
 }
 
 /// The count `value` of `flag`, refused unless it is in `1..=max`.
@@ -286,7 +289,7 @@ pub fn parse(argv: &[String]) -> Result<Cli, CliError> {
                 if s == 0 {
                     return err("--secs must be positive");
                 }
-                cfg.duration = duration("--secs", s, Nanos::checked_from_secs)?;
+                cfg.duration = duration("--secs", s, Nanos::from_secs(1), MAX_DURATION)?;
             }
             "--seed" => {
                 cfg.seed = value("--seed")?
@@ -300,7 +303,7 @@ pub fn parse(argv: &[String]) -> Result<Cli, CliError> {
                 if us == 0 {
                     return err("--deadline-us must be positive");
                 }
-                let deadline = duration("--deadline-us", us, Nanos::checked_from_micros)?;
+                let deadline = duration("--deadline-us", us, Nanos::from_micros(1), MAX_DEADLINE)?;
                 cfg.deadline_override = Some(deadline);
             }
             "--faults" => {
@@ -562,7 +565,12 @@ fn parse_scheduler(v: &str) -> Result<SchedulerChoice, CliError> {
         let us: u64 = thr
             .parse()
             .map_err(|_| CliError("shenango:<us> needs an integer".into()))?;
-        let threshold = duration("--scheduler shenango:<us>", us, Nanos::checked_from_micros)?;
+        let threshold = duration(
+            "--scheduler shenango:<us>",
+            us,
+            Nanos::from_micros(1),
+            Nanos(u64::MAX),
+        )?;
         return Ok(SchedulerChoice::Shenango(threshold));
     }
     if let Some(hi) = v.strip_prefix("utilization:") {
@@ -669,32 +677,47 @@ mod tests {
     const MICROS_OVERFLOW: u64 = u64::MAX / 1_000 + 1;
 
     #[test]
-    fn secs_past_the_clock_is_refused() {
-        let e = parse(&args(&format!("--secs {SECS_OVERFLOW}"))).unwrap_err();
-        assert_eq!(
-            e,
-            CliError(
-                "--secs 18446744074 is longer than the simulated clock holds (18446744073 s)"
-                    .into()
-            )
-        );
-        let Cli { cfg, .. } = parse(&args(&format!("--secs {}", SECS_OVERFLOW - 1))).unwrap();
-        assert_eq!(cfg.duration, Nanos((SECS_OVERFLOW - 1) * 1_000_000_000));
+    fn durations_above_their_maxima_are_refused() {
+        let max_secs = MAX_DURATION.as_nanos() / 1_000_000_000;
+        let max_us = MAX_DEADLINE.as_nanos() / 1_000;
+        // Past each maximum, the probes: the longest duration whose
+        // nanoseconds fit the clock, which a sum wrapped (the DAG builder's
+        // `arrival + deadline`, the drain's `duration + deadline`), and the
+        // first one whose nanoseconds overflow.
+        for (flag, max, probes) in [
+            ("--secs", max_secs, [SECS_OVERFLOW - 1, SECS_OVERFLOW]),
+            (
+                "--deadline-us",
+                max_us,
+                [MICROS_OVERFLOW - 1, MICROS_OVERFLOW],
+            ),
+        ] {
+            assert!(parse(&args(&format!("{flag} {max}"))).is_ok(), "{flag}");
+            for n in [max + 1, probes[0], probes[1]] {
+                assert_eq!(
+                    parse(&args(&format!("{flag} {n}"))).unwrap_err(),
+                    CliError(format!("{flag} {n} is above the maximum of {max}"))
+                );
+            }
+            // USAGE documents each maximum.
+            assert!(USAGE.contains(&max.to_string()), "{flag}");
+        }
+        let Cli { cfg, .. } =
+            parse(&args(&format!("--secs {max_secs} --deadline-us {max_us}"))).unwrap();
+        assert_eq!(cfg.duration, MAX_DURATION);
+        assert_eq!(cfg.deadline_override, Some(MAX_DEADLINE));
     }
 
     #[test]
-    fn deadline_past_the_clock_is_refused() {
-        let e = parse(&args(&format!("--deadline-us {MICROS_OVERFLOW}"))).unwrap_err();
-        assert!(
-            e.0.starts_with("--deadline-us 18446744073709552 is longer"),
-            "{e:?}"
-        );
-        let Cli { cfg, .. } =
-            parse(&args(&format!("--deadline-us {}", MICROS_OVERFLOW - 1))).unwrap();
-        assert_eq!(
-            cfg.deadline_override,
-            Some(Nanos((MICROS_OVERFLOW - 1) * 1_000))
-        );
+    fn the_longest_deadline_runs_without_violations() {
+        let max_us = MAX_DEADLINE.as_nanos() / 1_000;
+        let Cli { mut cfg, .. } =
+            parse(&args(&format!("--deadline-us {max_us} --cells 1"))).unwrap();
+        cfg.duration = Nanos::from_millis(100);
+        cfg.profiling_slots = 200;
+        let report = concordia_core::Simulation::new(cfg).run();
+        assert!(report.metrics.dags > 0);
+        assert_eq!(report.metrics.violations, 0);
     }
 
     #[test]
@@ -707,7 +730,7 @@ mod tests {
     fn shenango_threshold_past_the_clock_is_refused() {
         let e = parse(&args(&format!("--scheduler shenango:{MICROS_OVERFLOW}"))).unwrap_err();
         assert!(
-            e.0.starts_with("--scheduler shenango:<us> 18446744073709552 is longer"),
+            e.0.starts_with("--scheduler shenango:<us> 18446744073709552 is above the maximum"),
             "{e:?}"
         );
     }

@@ -16,10 +16,9 @@
 //! ```
 
 use concordia_core::runner::{run_sweep, ParallelEval};
-use concordia_core::{Colocation, PredictorChoice, SchedulerChoice, SimConfig, Simulation};
+use concordia_core::{SimConfig, Simulation};
 use concordia_platform::trace::export_chrome_trace;
-use concordia_platform::workloads::WorkloadKind;
-use concordia_ran::{CellConfig, Nanos};
+use concordia_ran::CellConfig;
 use concordia_search::{replay, run_search, ReproArtifact, SearchSettings, SearchSpace};
 use std::process::ExitCode;
 
@@ -429,14 +428,4 @@ impl GenerationName for CellConfig {
             concordia_ran::RanGeneration::Nr => "5G NR",
         }
     }
-}
-
-#[allow(dead_code)]
-fn _assert_types(cfg: SimConfig) {
-    // Compile-time sanity that the parser produces the real config types.
-    let _: Colocation = cfg.colocation;
-    let _: SchedulerChoice = cfg.scheduler;
-    let _: PredictorChoice = cfg.predictor;
-    let _: Option<Nanos> = cfg.deadline_override;
-    let _ = WorkloadKind::Redis;
 }

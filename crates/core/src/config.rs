@@ -108,6 +108,13 @@ impl Colocation {
 /// the repository runs has 100 cells.
 pub const MAX_CELLS: u32 = 1_024;
 
+/// The longest online phase a configuration may run, about 11.6 days: the
+/// CLI, scenarios and the bench harness refuse longer ones. The paper's own
+/// validation ran 8 hours. With the longest deadline,
+/// [`MAX_DEADLINE`](concordia_ran::cell::MAX_DEADLINE), taken twice, it
+/// uses under a ten-thousandth of the nanosecond clock (584 years).
+pub const MAX_DURATION: Nanos = Nanos::from_secs(1_000_000);
+
 /// Full configuration of one end-to-end experiment.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SimConfig {

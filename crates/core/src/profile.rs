@@ -19,7 +19,7 @@ use crate::runner::par_map;
 use concordia_predictor::api::{InflatedPredictor, ModelBank, TrainingSample, WcetPredictor};
 use concordia_predictor::evt::PwcetEvt;
 use concordia_predictor::featsel::{select_features, FeatSelConfig};
-use concordia_predictor::gbt::{GbtConfig, GradientBoosting};
+use concordia_predictor::gbt::GradientBoosting;
 use concordia_predictor::linreg::LinearRegression;
 use concordia_predictor::qdt::QuantileDecisionTree;
 use concordia_predictor::tree::TreeConfig;
@@ -197,12 +197,9 @@ fn fit_predictor(
         PredictorChoice::LinearRegression => {
             Box::new(LinearRegression::fit(samples, feats, 0.99999))
         }
-        PredictorChoice::GradientBoosting => Box::new(GradientBoosting::fit(
-            samples,
-            feats,
-            0.99999,
-            &GbtConfig::default(),
-        )),
+        PredictorChoice::GradientBoosting => {
+            Box::new(GradientBoosting::fit(samples, feats, 0.99999))
+        }
         PredictorChoice::PwcetEvt => Box::new(PwcetEvt::fit(samples, 0.99999, 50)),
         PredictorChoice::Oracle => Box::new(OraclePredictor {
             cost: cost.clone(),

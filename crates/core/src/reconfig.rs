@@ -8,8 +8,8 @@
 //!
 //! 1. **Apply** at a slot boundary, capturing the inverse (`StepUndo`) and
 //!    a snapshot of the per-cell misprediction guards.
-//! 2. **Settle** for a configured number of slots, during which the
-//!    [`InvariantMonitor`] checks hard invariants every slot: no deadline
+//! 2. **Settle** for a configured number of slots, during which hard
+//!    invariants ([`InvariantConfig`]) are checked every slot: no deadline
 //!    misses beyond the pre-step baseline rate, per-cell task conservation
 //!    (nothing lost), and bounded guard inflation.
 //! 3. **Commit** when the settle window passes clean — or **roll back** on
@@ -34,6 +34,7 @@ use crate::runner::BatchEval;
 use crate::sim::Simulation;
 use concordia_platform::pool::MAX_CORES;
 use concordia_platform::trace::TraceEvent;
+use concordia_ran::cell::MAX_DEADLINE;
 use concordia_ran::time::Nanos;
 use concordia_sched::guard::MispredictionGuard;
 use concordia_stats::chacha::derive_seed;
@@ -163,8 +164,8 @@ impl ReconfigPlan {
     }
 
     /// Rejects plans whose steps are nonsense regardless of the running
-    /// configuration (zero-core resizes, a zero deadline or one longer
-    /// than the simulated clock holds). Plan files and
+    /// configuration (zero-core resizes, growth past [`MAX_CORES`], a zero
+    /// deadline or one above [`MAX_DEADLINE`]). Plan files and
     /// repro artifacts are user-editable JSON, so this runs on every
     /// externally-loaded plan; configuration-dependent problems (draining
     /// a cell that does not exist) still surface as apply-time rollbacks.
@@ -191,9 +192,9 @@ impl ReconfigPlan {
                     return Err(ReconfigPlanError::ZeroDeadline { index });
                 }
                 &ReconfigStep::SetDeadline { deadline_us }
-                    if Nanos::checked_from_micros(deadline_us).is_none() =>
+                    if deadline_us > MAX_DEADLINE.as_nanos() / 1_000 =>
                 {
-                    return Err(ReconfigPlanError::DeadlineOverflow { index, deadline_us });
+                    return Err(ReconfigPlanError::DeadlineTooLong { index, deadline_us });
                 }
                 _ => {}
             }
@@ -210,8 +211,8 @@ pub enum ReconfigPlanError {
     ZeroCores { index: usize, step: String },
     /// A zero deadline fails every DAG unconditionally.
     ZeroDeadline { index: usize },
-    /// A deadline whose nanoseconds do not fit the simulated clock.
-    DeadlineOverflow { index: usize, deadline_us: u64 },
+    /// A deadline above [`MAX_DEADLINE`].
+    DeadlineTooLong { index: usize, deadline_us: u64 },
     /// The plan's `GrowPool` steps, up to this one, add more than
     /// [`MAX_CORES`] cores in total.
     GrowthTooLarge { index: usize, total: u64 },
@@ -229,11 +230,12 @@ impl std::fmt::Display for ReconfigPlanError {
                     "step #{index} (set_deadline): deadline_us must be positive"
                 )
             }
-            ReconfigPlanError::DeadlineOverflow { index, deadline_us } => {
+            ReconfigPlanError::DeadlineTooLong { index, deadline_us } => {
                 write!(
                     f,
-                    "step #{index} (set_deadline): deadline_us {deadline_us} is longer than \
-                     the simulated clock holds"
+                    "step #{index} (set_deadline): deadline_us {deadline_us} is above the \
+                     maximum of {}",
+                    MAX_DEADLINE.as_nanos() / 1_000
                 )
             }
             ReconfigPlanError::GrowthTooLarge { index, total } => {
@@ -791,27 +793,30 @@ mod tests {
             bad.validate(),
             Err(ReconfigPlanError::ZeroDeadline { index: 0 })
         ));
-        // The largest deadline the clock holds passes; one more overflows.
-        let max_us = u64::MAX / 1_000;
+        // The longest deadline passes. One more is refused, and so are the
+        // probes: the most microseconds the clock holds, which wrapped the
+        // DAG builder's `arrival + deadline`, and one more.
+        let max_us = MAX_DEADLINE.as_nanos() / 1_000;
         let ok = ReconfigPlan::new(vec![ReconfigStep::SetDeadline {
             deadline_us: max_us,
         }]);
         assert!(ok.validate().is_ok());
-        let bad = ReconfigPlan::new(vec![
-            ReconfigStep::AddCell,
-            ReconfigStep::SetDeadline {
-                deadline_us: max_us + 1,
-            },
-        ]);
-        let err = bad.validate().expect_err("overflowing deadline");
-        assert_eq!(
-            err,
-            ReconfigPlanError::DeadlineOverflow {
-                index: 1,
-                deadline_us: max_us + 1
-            }
-        );
-        assert!(err.to_string().contains("step #1"), "{err}");
+        for deadline_us in [max_us + 1, u64::MAX / 1_000, u64::MAX / 1_000 + 1] {
+            let bad = ReconfigPlan::new(vec![
+                ReconfigStep::AddCell,
+                ReconfigStep::SetDeadline { deadline_us },
+            ]);
+            let err = bad.validate().expect_err("deadline above the maximum");
+            assert_eq!(
+                err,
+                ReconfigPlanError::DeadlineTooLong {
+                    index: 1,
+                    deadline_us
+                }
+            );
+            assert!(err.to_string().contains("step #1"), "{err}");
+            assert!(err.to_string().contains("maximum of 1000000"), "{err}");
+        }
     }
 
     #[test]

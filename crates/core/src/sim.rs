@@ -28,7 +28,7 @@ use concordia_platform::sched_api::{DedicatedScheduler, PoolScheduler};
 use concordia_platform::trace::{TraceEvent, TraceRecorder};
 use concordia_platform::workloads::{MixSchedule, WorkloadKind};
 use concordia_predictor::api::ModelBank;
-use concordia_ran::cell::CellInstance;
+use concordia_ran::cell::{CellInstance, MAX_DEADLINE};
 use concordia_ran::cost::CostModel;
 use concordia_ran::dag::{build_dag_into, DagScratch, SlotWorkload};
 use concordia_ran::features::{extract, FeatureVec};
@@ -120,7 +120,7 @@ const WORKLOAD_FAULTS: [FaultKind; 2] = [FaultKind::PredictorBias, FaultKind::Tr
 fn make_scheduler(choice: SchedulerChoice) -> Box<dyn PoolScheduler> {
     match choice {
         SchedulerChoice::Concordia(cfg) => Box::new(ConcordiaScheduler::new(cfg)),
-        SchedulerChoice::FlexRan => Box::new(FlexRanScheduler::default()),
+        SchedulerChoice::FlexRan => Box::new(FlexRanScheduler),
         SchedulerChoice::Shenango(thr) => Box::new(ShenangoScheduler::new(thr)),
         SchedulerChoice::Utilization(hi) => Box::new(UtilizationScheduler::new(hi)),
         SchedulerChoice::Dedicated => Box::new(DedicatedScheduler),
@@ -329,8 +329,7 @@ impl Simulation {
             sim.pool.enable_trace(tc);
         }
         if sim.cfg.fpga {
-            sim.pool
-                .enable_fpga(concordia_ran::accel::FpgaModel::default());
+            sim.pool.enable_fpga();
         }
         if !sim.faults.is_empty() {
             sim.pool.set_fault_timeline(Arc::clone(&sim.faults));
@@ -906,10 +905,10 @@ impl Simulation {
                 if deadline_us == 0 {
                     return Err("set_deadline: zero deadline".to_string());
                 }
-                let Some(deadline) = Nanos::checked_from_micros(deadline_us) else {
-                    return Err("set_deadline: deadline overflows the clock".to_string());
-                };
-                let (deadline, override_prev) = self.set_deadline(deadline);
+                if deadline_us > MAX_DEADLINE.as_nanos() / 1_000 {
+                    return Err("set_deadline: deadline above the maximum".to_string());
+                }
+                let (deadline, override_prev) = self.set_deadline(Nanos::from_micros(deadline_us));
                 Ok(StepUndo::RestoreDeadline {
                     deadline,
                     override_prev,

@@ -16,88 +16,61 @@
 
 use concordia_ran::time::Nanos;
 use concordia_stats::rng::Rng;
-use serde::{Deserialize, Serialize};
 
 /// How long a core must have been held by the vRAN for its cache state to
 /// count as warm.
 pub const WARMUP: Nanos = Nanos::from_micros(150);
 
-/// Parameters of the interference model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct CacheModel {
-    /// Mean runtime inflation per unit pressure on a *warm* core (LLC-only
-    /// pollution from neighbours).
-    pub warm_sensitivity: f64,
-    /// Mean runtime inflation per unit pressure on a *cold* core (the task
-    /// also pays to refill L1/L2 after best-effort occupancy).
-    pub cold_sensitivity: f64,
-    /// Probability that a task hits an interference burst (heavier tail).
-    pub burst_prob: f64,
-    /// Scale of burst inflation relative to the mean inflation.
-    pub burst_scale: f64,
-}
+/// Mean runtime inflation per unit pressure on a *warm* core (LLC-only
+/// pollution from neighbours).
+const WARM_SENSITIVITY: f64 = 0.015;
+/// Mean runtime inflation per unit pressure on a *cold* core (the task
+/// also pays to refill L1/L2 after best-effort occupancy).
+const COLD_SENSITIVITY: f64 = 0.30;
+/// Probability that a task hits an interference burst (heavier tail).
+const BURST_PROB: f64 = 0.02;
+/// Scale of burst inflation relative to the mean inflation.
+const BURST_SCALE: f64 = 3.0;
 
-impl Default for CacheModel {
-    fn default() -> Self {
-        CacheModel {
-            warm_sensitivity: 0.015,
-            cold_sensitivity: 0.30,
-            burst_prob: 0.02,
-            burst_scale: 3.0,
-        }
-    }
-}
+/// Fig. 9's L1 misses per instruction move with the stall cycles at this
+/// ratio (≈ 15 % against ≈ 25 % for vanilla FlexRAN under Redis).
+pub const L1_MISS_PER_STALL: f64 = 0.6;
+/// Fig. 9's LLC loads per instruction move with the stall cycles at this
+/// ratio (≈ 20 % against ≈ 25 %).
+pub const LLC_LOADS_PER_STALL: f64 = 0.8;
 
-impl CacheModel {
-    /// Samples the multiplicative interference factor (≥ 1) for one task.
-    ///
-    /// `pressure` is the aggregate cache intensity of active best-effort
-    /// workloads (0 when the vRAN is isolated); `warm` says whether the
-    /// executing core has been held by the vRAN beyond [`WARMUP`].
-    pub fn interference_factor(&self, pressure: f64, warm: bool, rng: &mut Rng) -> f64 {
-        if pressure <= 0.0 {
-            return 1.0;
-        }
-        let sens = if warm {
-            self.warm_sensitivity
-        } else {
-            self.cold_sensitivity
-        };
-        let mut inflation = pressure * sens * rng.lognormal(0.0, 0.35);
-        if rng.chance(self.burst_prob) {
-            inflation *= 1.0 + rng.f64() * self.burst_scale;
-        }
-        1.0 + inflation
+/// Samples the multiplicative interference factor (≥ 1) for one task.
+///
+/// `pressure` is the aggregate cache intensity of active best-effort
+/// workloads (0 when the vRAN is isolated); `warm` says whether the
+/// executing core has been held by the vRAN beyond [`WARMUP`].
+pub fn interference_factor(pressure: f64, warm: bool, rng: &mut Rng) -> f64 {
+    if pressure <= 0.0 {
+        return 1.0;
     }
+    let sens = if warm {
+        WARM_SENSITIVITY
+    } else {
+        COLD_SENSITIVITY
+    };
+    let mut inflation = pressure * sens * rng.lognormal(0.0, 0.35);
+    if rng.chance(BURST_PROB) {
+        inflation *= 1.0 + rng.f64() * BURST_SCALE;
+    }
+    1.0 + inflation
 }
 
 /// Modeled hardware counters accumulated over an experiment — the Fig. 9
 /// metrics. Values are expressed as *relative increases* over the isolated
 /// baseline, derived from the realized interference factors (which is what
 /// memory stalls manifest as).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct CounterAccumulator {
     tasks: u64,
     sum_inflation: f64,
 }
 
-/// Snapshot of the Fig. 9 counter deltas (percent increases vs isolated).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct CounterDeltas {
-    /// Stall cycles per instruction increase (%).
-    pub stall_cycles_pct: f64,
-    /// L1 cache misses per instruction increase (%).
-    pub l1_miss_pct: f64,
-    /// LLC loads per instruction increase (%).
-    pub llc_loads_pct: f64,
-}
-
 impl CounterAccumulator {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Records the realized interference factor of one executed task.
     pub fn record_task(&mut self, interference_factor: f64) {
         self.tasks += 1;
@@ -109,26 +82,18 @@ impl CounterAccumulator {
         self.tasks
     }
 
-    /// Mean inflation over all tasks (0 when isolated).
-    pub fn mean_inflation(&self) -> f64 {
-        if self.tasks == 0 {
+    /// Fig. 9's stall cycles per instruction, as a percent increase over
+    /// the isolated run: the mean runtime inflation over all tasks (0 when
+    /// isolated), since runtime inflation *is* extra memory stalls. L1
+    /// misses and LLC loads move with it at [`L1_MISS_PER_STALL`] and
+    /// [`LLC_LOADS_PER_STALL`].
+    pub fn stall_cycles_pct(&self) -> f64 {
+        let mean_inflation = if self.tasks == 0 {
             0.0
         } else {
             self.sum_inflation / self.tasks as f64
-        }
-    }
-
-    /// Derives the Fig. 9 counter deltas from the mean inflation. Runtime
-    /// inflation *is* extra memory stalls; L1 misses and LLC loads move
-    /// proportionally (with the ratios visible in Fig. 9: stalls ≈ 25 %,
-    /// L1 ≈ 15 %, LLC ≈ 20 % for vanilla FlexRAN under Redis).
-    pub fn deltas(&self) -> CounterDeltas {
-        let stall = self.mean_inflation() * 100.0;
-        CounterDeltas {
-            stall_cycles_pct: stall,
-            l1_miss_pct: stall * 0.6,
-            llc_loads_pct: stall * 0.8,
-        }
+        };
+        mean_inflation * 100.0
     }
 }
 
@@ -138,21 +103,19 @@ mod tests {
 
     #[test]
     fn isolated_is_exactly_one() {
-        let m = CacheModel::default();
         let mut rng = Rng::new(1);
         for _ in 0..1000 {
-            assert_eq!(m.interference_factor(0.0, false, &mut rng), 1.0);
+            assert_eq!(interference_factor(0.0, false, &mut rng), 1.0);
         }
     }
 
     #[test]
     fn cold_cores_suffer_far_more_than_warm() {
-        let m = CacheModel::default();
         let mut rng = Rng::new(2);
         let n = 50_000;
         let mean = |warm: bool, rng: &mut Rng| {
             (0..n)
-                .map(|_| m.interference_factor(1.2, warm, rng) - 1.0)
+                .map(|_| interference_factor(1.2, warm, rng) - 1.0)
                 .sum::<f64>()
                 / n as f64
         };
@@ -169,12 +132,11 @@ mod tests {
 
     #[test]
     fn inflation_grows_with_pressure() {
-        let m = CacheModel::default();
         let mut rng = Rng::new(3);
         let n = 20_000;
         let mean = |p: f64, rng: &mut Rng| {
             (0..n)
-                .map(|_| m.interference_factor(p, false, rng) - 1.0)
+                .map(|_| interference_factor(p, false, rng) - 1.0)
                 .sum::<f64>()
                 / n as f64
         };
@@ -185,20 +147,18 @@ mod tests {
 
     #[test]
     fn factor_never_below_one() {
-        let m = CacheModel::default();
         let mut rng = Rng::new(4);
         for _ in 0..10_000 {
-            assert!(m.interference_factor(2.0, false, &mut rng) >= 1.0);
+            assert!(interference_factor(2.0, false, &mut rng) >= 1.0);
         }
     }
 
     #[test]
     fn interference_has_heavier_tail_than_body() {
         // Fig. 7b: heavier-tailed, same region.
-        let m = CacheModel::default();
         let mut rng = Rng::new(5);
         let xs: Vec<f64> = (0..100_000)
-            .map(|_| m.interference_factor(1.0, true, &mut rng))
+            .map(|_| interference_factor(1.0, true, &mut rng))
             .collect();
         let mean = xs.iter().sum::<f64>() / xs.len() as f64;
         let p999 = concordia_stats::summary::quantile(&xs, 0.999).unwrap();
@@ -207,21 +167,20 @@ mod tests {
 
     #[test]
     fn counter_deltas_track_inflation() {
-        let mut acc = CounterAccumulator::new();
+        let mut acc = CounterAccumulator::default();
         for _ in 0..100 {
             acc.record_task(1.25);
         }
-        let d = acc.deltas();
-        assert!((d.stall_cycles_pct - 25.0).abs() < 1e-9);
-        assert!(d.l1_miss_pct < d.stall_cycles_pct);
-        assert!(d.llc_loads_pct < d.stall_cycles_pct);
-        assert!(d.l1_miss_pct > 10.0);
+        let stall = acc.stall_cycles_pct();
+        assert!((stall - 25.0).abs() < 1e-9);
+        assert!(stall * L1_MISS_PER_STALL < stall);
+        assert!(stall * LLC_LOADS_PER_STALL < stall);
+        assert!(stall * L1_MISS_PER_STALL > 10.0);
     }
 
     #[test]
     fn empty_accumulator_reports_zero() {
-        let acc = CounterAccumulator::new();
-        assert_eq!(acc.mean_inflation(), 0.0);
-        assert_eq!(acc.deltas().stall_cycles_pct, 0.0);
+        let acc = CounterAccumulator::default();
+        assert_eq!(acc.stall_cycles_pct(), 0.0);
     }
 }

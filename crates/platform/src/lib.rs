@@ -14,12 +14,10 @@
 //! * [`sched_api`] — the [`PoolScheduler`] decision interface.
 //! * [`pool`] — the vRAN pool simulator (workers, EDF queues, DAG
 //!   execution, rotation, metrics).
-//! * [`accel_state`] — FPGA offload engine state (§7).
 //! * [`metrics`] — latency/reliability/reclaimed-CPU accounting.
 //! * [`trace`] — microsecond-granularity ring-buffer span recorder +
 //!   Chrome-trace/snapshot exporters (the observability spine).
 
-pub mod accel_state;
 pub mod arch;
 pub mod cache;
 pub mod events;
@@ -32,10 +30,9 @@ pub mod trace;
 pub mod workloads;
 
 pub use arch::PoolArchChoice;
-pub use cache::{CacheModel, CounterAccumulator, CounterDeltas};
+pub use cache::CounterAccumulator;
 pub use faults::{FaultKind, FaultPlan, FaultSpec, FaultTimeline, FaultWindow};
 pub use metrics::{MetricsSummary, PoolMetrics, SlotLatencyRecorder, SlotOutcome};
-pub use oslat::OsLatencyModel;
 pub use pool::{Observation, PoolConfig, ScheduledDag, VranPool};
 pub use sched_api::{
     DagProgress, DedicatedScheduler, PoolArchitecture, PoolScheduler, PoolView, ReadyTask,

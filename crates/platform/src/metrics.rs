@@ -263,7 +263,7 @@ impl PoolMetrics {
             wake_events: wakes,
             wake_tail_events: self.wake_hist.count_at_or_above(64),
             evictions: wakes,
-            stall_cycles_pct: self.counters.deltas().stall_cycles_pct,
+            stall_cycles_pct: self.counters.stall_cycles_pct(),
             tasks_executed: self.counters.tasks(),
             cores_failed: self.cores_failed,
             offload_fallbacks: self.offload_fallbacks,

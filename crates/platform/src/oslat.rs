@@ -14,68 +14,47 @@
 
 use concordia_ran::time::Nanos;
 use concordia_stats::rng::Rng;
-use serde::{Deserialize, Serialize};
 
-/// Parameters of the wake-latency mixture.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-#[non_exhaustive]
-pub struct OsLatencyModel {
-    /// Probability of a fast wake (scheduler IPI, idle core): 1–4 µs.
-    pub fast_prob: f64,
-    /// Probability of a medium wake (runqueue contention): 4–16 µs.
-    pub medium_prob: f64,
-    /// Baseline probability of a kernel-stall wake (non-preemptible
-    /// section): 64–255 µs, in isolation.
-    pub stall_prob_isolated: f64,
-    /// Additional stall probability per unit of best-effort cache/kernel
-    /// pressure (collocated workloads issue syscalls and interrupts).
-    pub stall_prob_per_pressure: f64,
-    /// Baseline probability of an *extreme* hold-off (long non-preemptible
-    /// kernel path, §2.3: "tens of microseconds to tens of milliseconds"):
-    /// 0.3–6 ms.
-    pub extreme_prob_isolated: f64,
-    /// Additional extreme-hold-off probability per unit of pressure
-    /// (syscall-heavy collocated workloads drive the kernel into long
-    /// non-preemptible sections far more often).
-    pub extreme_prob_per_pressure: f64,
-}
+/// Probability of a fast wake (scheduler IPI, idle core): 1–4 µs.
+const FAST_PROB: f64 = 0.86;
+/// Probability of a medium wake (runqueue contention): 4–16 µs.
+const MEDIUM_PROB: f64 = 0.10;
+/// Baseline probability of a kernel-stall wake (non-preemptible section):
+/// 64–255 µs, in isolation.
+const STALL_PROB_ISOLATED: f64 = 0.0008;
+/// Additional stall probability per unit of best-effort cache/kernel
+/// pressure (collocated workloads issue syscalls and interrupts).
+const STALL_PROB_PER_PRESSURE: f64 = 0.004;
+/// Baseline probability of an *extreme* hold-off (long non-preemptible
+/// kernel path, §2.3: "tens of microseconds to tens of milliseconds"):
+/// 0.3–6 ms.
+const EXTREME_PROB_ISOLATED: f64 = 0.000_002;
+/// Additional extreme-hold-off probability per unit of pressure
+/// (syscall-heavy collocated workloads drive the kernel into long
+/// non-preemptible sections far more often).
+const EXTREME_PROB_PER_PRESSURE: f64 = 0.000_25;
 
-impl Default for OsLatencyModel {
-    fn default() -> Self {
-        OsLatencyModel {
-            fast_prob: 0.86,
-            medium_prob: 0.10,
-            stall_prob_isolated: 0.0008,
-            stall_prob_per_pressure: 0.004,
-            extreme_prob_isolated: 0.000_002,
-            extreme_prob_per_pressure: 0.000_25,
-        }
-    }
-}
-
-impl OsLatencyModel {
-    /// Samples the latency between signalling a yielded worker and the
-    /// worker actually running, under the given best-effort `pressure`
-    /// (0 = isolated vRAN).
-    pub fn sample_wake(&self, pressure: f64, rng: &mut Rng) -> Nanos {
-        let stall_p = self.stall_prob_isolated + self.stall_prob_per_pressure * pressure;
-        let extreme_p = self.extreme_prob_isolated + self.extreme_prob_per_pressure * pressure;
-        let u = rng.f64();
-        let us = if u < extreme_p {
-            // Long non-preemptible kernel path: 0.3-6 ms.
-            rng.pareto(300.0, 1.6).min(6_000.0)
-        } else if u < extreme_p + stall_p {
-            // Non-preemptible kernel section: 64–255 µs, Pareto-shaped.
-            rng.pareto(64.0, 2.5).min(255.0)
-        } else if u < extreme_p + stall_p + self.fast_prob {
-            1.0 + rng.f64() * 3.0
-        } else if u < extreme_p + stall_p + self.fast_prob + self.medium_prob {
-            4.0 + rng.f64() * 12.0
-        } else {
-            16.0 + rng.f64() * 48.0
-        };
-        Nanos::from_micros_f64(us)
-    }
+/// Samples the latency between signalling a yielded worker and the worker
+/// actually running, under the given best-effort `pressure` (0 = isolated
+/// vRAN).
+pub fn sample_wake(pressure: f64, rng: &mut Rng) -> Nanos {
+    let stall_p = STALL_PROB_ISOLATED + STALL_PROB_PER_PRESSURE * pressure;
+    let extreme_p = EXTREME_PROB_ISOLATED + EXTREME_PROB_PER_PRESSURE * pressure;
+    let u = rng.f64();
+    let us = if u < extreme_p {
+        // Long non-preemptible kernel path: 0.3-6 ms.
+        rng.pareto(300.0, 1.6).min(6_000.0)
+    } else if u < extreme_p + stall_p {
+        // Non-preemptible kernel section: 64–255 µs, Pareto-shaped.
+        rng.pareto(64.0, 2.5).min(255.0)
+    } else if u < extreme_p + stall_p + FAST_PROB {
+        1.0 + rng.f64() * 3.0
+    } else if u < extreme_p + stall_p + FAST_PROB + MEDIUM_PROB {
+        4.0 + rng.f64() * 12.0
+    } else {
+        16.0 + rng.f64() * 48.0
+    };
+    Nanos::from_micros_f64(us)
 }
 
 #[cfg(test)]
@@ -84,11 +63,10 @@ mod tests {
     use concordia_stats::hist::Log2Histogram;
 
     fn histogram(pressure: f64, n: usize, seed: u64) -> Log2Histogram {
-        let m = OsLatencyModel::default();
         let mut rng = Rng::new(seed);
         let mut h = Log2Histogram::new();
         for _ in 0..n {
-            h.record(m.sample_wake(pressure, &mut rng).as_micros_f64() as u64);
+            h.record(sample_wake(pressure, &mut rng).as_micros_f64() as u64);
         }
         h
     }
@@ -124,11 +102,10 @@ mod tests {
 
     #[test]
     fn latencies_bounded_to_6ms() {
-        let m = OsLatencyModel::default();
         let mut rng = Rng::new(4);
         let mut extremes = 0u64;
         for _ in 0..1_000_000 {
-            let l = m.sample_wake(3.0, &mut rng);
+            let l = sample_wake(3.0, &mut rng);
             assert!(l <= Nanos::from_micros(6_000));
             assert!(l >= Nanos::from_micros(1));
             if l > Nanos::from_micros(255) {
@@ -144,21 +121,19 @@ mod tests {
 
     #[test]
     fn extreme_holdoffs_essentially_absent_in_isolation() {
-        let m = OsLatencyModel::default();
         let mut rng = Rng::new(6);
         let extremes = (0..500_000)
-            .filter(|_| m.sample_wake(0.0, &mut rng) > Nanos::from_micros(255))
+            .filter(|_| sample_wake(0.0, &mut rng) > Nanos::from_micros(255))
             .count();
         assert!(extremes < 10, "isolated extremes {extremes}");
     }
 
     #[test]
     fn deterministic_per_seed() {
-        let m = OsLatencyModel::default();
         let mut a = Rng::new(5);
         let mut b = Rng::new(5);
         for _ in 0..1000 {
-            assert_eq!(m.sample_wake(0.7, &mut a), m.sample_wake(0.7, &mut b));
+            assert_eq!(sample_wake(0.7, &mut a), sample_wake(0.7, &mut b));
         }
     }
 }

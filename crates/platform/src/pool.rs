@@ -13,16 +13,15 @@
 //! counters and per-DAG slot latencies — everything the paper's evaluation
 //! reads out.
 
-use crate::accel_state::FpgaState;
 use crate::arch::PoolArchChoice;
-use crate::cache::{CacheModel, WARMUP};
+use crate::cache::{interference_factor, WARMUP};
 use crate::events::{CalendarQueue, EngineChoice};
 use crate::faults::{FaultKind, FaultTimeline};
 use crate::metrics::PoolMetrics;
-use crate::oslat::OsLatencyModel;
+use crate::oslat::sample_wake;
 use crate::sched_api::{DagProgress, PoolArchitecture, PoolScheduler, PoolView, ReadyTask};
 use crate::trace::{TraceConfig, TraceEvent, TraceRecorder, TraceSummary, WindowSnapshot};
-use concordia_ran::accel::FpgaModel;
+use concordia_ran::accel::{self, FpgaQueue};
 use concordia_ran::cost::CostModel;
 use concordia_ran::dag::SlotDag;
 use concordia_ran::features::{extract, FeatureVec};
@@ -154,13 +153,11 @@ pub struct VranPool {
     cfg: PoolConfig,
     cost: CostModel,
     scheduler: Box<dyn PoolScheduler>,
-    oslat: OsLatencyModel,
-    cache: CacheModel,
     /// Per-cell FPGA offload engines, lazily grown by cell id. The DE5-Net
     /// card exposes multiple decoder cores; modelling one engine per cell
     /// keeps the Table 4 single-slot wait profile while providing the
     /// aggregate throughput the Table 3 multi-cell scenario needs.
-    fpga: Option<(FpgaModel, Vec<FpgaState>)>,
+    fpga: Option<Vec<FpgaQueue>>,
 
     now: Nanos,
     events: CalendarQueue<Event>,
@@ -234,7 +231,7 @@ pub struct VranPool {
     /// feature→runtime mapping itself shifts, not a uniform bias.
     drift_severity: f64,
     /// FPGA parked during an AccelOutage window (restored when it clears).
-    parked_fpga: Option<(FpgaModel, Vec<FpgaState>)>,
+    parked_fpga: Option<Vec<FpgaQueue>>,
     /// Microsecond-granularity event recorder (`None` = tracing off; the
     /// hot path pays one branch).
     trace: Option<TraceRecorder>,
@@ -268,8 +265,6 @@ impl VranPool {
             cfg,
             cost,
             scheduler,
-            oslat: OsLatencyModel::default(),
-            cache: CacheModel::default(),
             fpga: None,
             now: Nanos::ZERO,
             events,
@@ -376,8 +371,8 @@ impl VranPool {
     }
 
     /// Enables the §7 FPGA LDPC offload.
-    pub fn enable_fpga(&mut self, model: FpgaModel) {
-        self.fpga = Some((model, Vec::new()));
+    pub fn enable_fpga(&mut self) {
+        self.fpga = Some(Vec::new());
     }
 
     /// Installs the resolved fault timeline and schedules start/end events
@@ -810,16 +805,17 @@ impl VranPool {
             self.after_worker_free(core, None);
             return;
         };
-        if let Some((model, engines)) = self.fpga.as_mut() {
-            while engines.len() <= cell {
-                engines.push(FpgaState::new(*model));
+        if let Some(engines) = self.fpga.as_mut() {
+            if engines.len() <= cell {
+                engines.resize(cell + 1, FpgaQueue::default());
             }
-            let projected = engines[cell].projected_completion(self.now, kind, n_cbs);
+            let service = accel::service_latency(kind, n_cbs);
+            let projected = engines[cell].completion(self.now, service);
             let timed_out = self
                 .accel_timeout
                 .is_some_and(|budget| projected > self.now + budget);
             if !timed_out {
-                let done_at = engines[cell].submit(self.now, kind, n_cbs);
+                let done_at = engines[cell].enqueue(self.now, service);
                 debug_assert_eq!(done_at, projected);
                 self.events.push(done_at, Event::FpgaDone { dag, node });
                 #[cfg(debug_assertions)]
@@ -1108,36 +1104,29 @@ impl VranPool {
             >= WARMUP;
         // Nodes that fell back after an offload failure stay on the CPU
         // path; everything else offloads when an engine is present.
-        let offload_cost = match self.fpga.as_ref() {
-            Some((model, _)) if !cpu_only && kind.offloadable() => Some(model.submit_cost()),
-            _ => None,
-        };
-        let offload = offload_cost.is_some();
+        let offload = self.fpga.is_some() && !cpu_only && kind.offloadable();
         if !offload && !cpu_only && kind.offloadable() && self.parked_fpga.is_some() {
             // An engine is configured but currently lost to an outage:
             // this node would have offloaded, so the CPU run is a fallback.
             self.metrics.offload_fallbacks += 1;
             self.trace_event(TraceEvent::OffloadFallback { cell, dag, node });
         }
-        let (runtime, interference) = match offload_cost {
-            Some(cost) => (cost, 1.0),
-            None => {
-                let f =
-                    self.cache
-                        .interference_factor(self.cache_pressure, warm, &mut self.rng_cost);
-                let mut rt = self
-                    .cost
-                    .sample_runtime(kind, &params, f, &mut self.rng_cost)
-                    .scale(self.stall_factor);
-                if self.drift_severity > 0.0 {
-                    // The feature→runtime mapping itself drifts: long tasks
-                    // inflate by up to `severity`, short ones barely move —
-                    // a shape change no scalar guard inflation can absorb.
-                    let us = rt.as_micros_f64();
-                    rt = rt.scale(1.0 + self.drift_severity * us / (us + 25.0));
-                }
-                (rt, f)
+        let (runtime, interference) = if offload {
+            (accel::SUBMIT_COST, 1.0)
+        } else {
+            let f = interference_factor(self.cache_pressure, warm, &mut self.rng_cost);
+            let mut rt = self
+                .cost
+                .sample_runtime(kind, &params, f, &mut self.rng_cost)
+                .scale(self.stall_factor);
+            if self.drift_severity > 0.0 {
+                // The feature→runtime mapping itself drifts: long tasks
+                // inflate by up to `severity`, short ones barely move —
+                // a shape change no scalar guard inflation can absorb.
+                let us = rt.as_micros_f64();
+                rt = rt.scale(1.0 + self.drift_severity * us / (us + 25.0));
             }
+            (rt, f)
         };
         self.metrics.counters.record_task(interference);
         if !offload {
@@ -1362,7 +1351,7 @@ impl VranPool {
 
     fn wake_core(&mut self, core: u32) {
         let pressure = self.kernel_pressure + self.kernel_boost;
-        let mut latency = self.oslat.sample_wake(pressure, &mut self.rng_os);
+        let mut latency = sample_wake(pressure, &mut self.rng_os);
         if let Some(storm_end) = self.storm_end_at(self.now) {
             // The wake cannot complete while the kernel storm holds the
             // yielded cores; it lands shortly after the storm passes.
@@ -1683,7 +1672,7 @@ mod tests {
         let run = |fpga: bool| {
             let mut pool = pool_with(4);
             if fpga {
-                pool.enable_fpga(concordia_ran::accel::FpgaModel::default());
+                pool.enable_fpga();
             }
             pool.inject_dag(test_dag(Nanos::ZERO, 30_000, 4));
             pool.run_until(Nanos::from_millis(30));
@@ -1892,7 +1881,7 @@ mod tests {
     #[test]
     fn accel_timeout_falls_back_to_cpu() {
         let mut pool = pool_with(4);
-        pool.enable_fpga(concordia_ran::accel::FpgaModel::default());
+        pool.enable_fpga();
         // Zero-microsecond budget: every projected completion misses it.
         pool.set_fault_timeline(fixed_timeline(FaultKind::AccelTimeout, 0, 50_000, 0.0));
         pool.inject_dag(test_dag(Nanos::ZERO, 20_000, 4));
@@ -1907,7 +1896,7 @@ mod tests {
     #[test]
     fn accel_outage_mid_run_survives_on_cpu() {
         let mut pool = pool_with(4);
-        pool.enable_fpga(concordia_ran::accel::FpgaModel::default());
+        pool.enable_fpga();
         pool.set_fault_timeline(fixed_timeline(FaultKind::AccelOutage, 100, 20_000, 1.0));
         for k in 0..8 {
             let t = Nanos::from_micros(300 * k);
@@ -1972,7 +1961,7 @@ mod tests {
     fn fault_runs_are_deterministic() {
         let run = || {
             let mut pool = pool_with(4);
-            pool.enable_fpga(concordia_ran::accel::FpgaModel::default());
+            pool.enable_fpga();
             pool.set_fault_timeline(Arc::new(
                 FaultPlan::chaos(
                     &[
@@ -2007,7 +1996,7 @@ mod tests {
     fn tracing_never_perturbs_the_simulation() {
         let run = |traced: bool| {
             let mut pool = pool_with(4);
-            pool.enable_fpga(concordia_ran::accel::FpgaModel::default());
+            pool.enable_fpga();
             if traced {
                 pool.enable_trace(TraceConfig::default());
             }
@@ -2038,7 +2027,7 @@ mod tests {
     #[test]
     fn trace_captures_the_hot_path_event_classes() {
         let mut pool = pool_with(4);
-        pool.enable_fpga(concordia_ran::accel::FpgaModel::default());
+        pool.enable_fpga();
         pool.enable_trace(TraceConfig::default());
         pool.set_fault_timeline(fixed_timeline(FaultKind::CoreOffline, 500, 4_000, 0.5));
         for k in 0..6 {
@@ -2250,7 +2239,7 @@ mod tests {
                     seed,
                 );
                 if fpga {
-                    pool.enable_fpga(concordia_ran::accel::FpgaModel::default());
+                    pool.enable_fpga();
                 }
                 pool.set_fault_timeline(Arc::new(FaultPlan { specs: windows }.resolve(seed)));
                 let mut injected = [0u64; 4];

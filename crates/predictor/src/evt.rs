@@ -1,7 +1,7 @@
 //! Conventional single-value probabilistic WCET (pWCET) baseline — §6.3.
 //!
 //! Implements the measurement-based probabilistic timing-analysis recipe of
-//! Cucu-Grosjean et al. [23]: fit an extreme-value (Gumbel) distribution to
+//! Cucu-Grosjean et al. \[23\]: fit an extreme-value (Gumbel) distribution to
 //! block maxima of observed runtimes and take the quantile at the required
 //! confidence (the paper uses 0.99999). One value per task, *regardless of
 //! input* — which is exactly why it is pessimistic for small inputs

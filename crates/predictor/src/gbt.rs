@@ -14,30 +14,16 @@ use crate::residual::{ResidualBound, RESIDUAL_BUFFER};
 use crate::tree::{Presort, Tree, TreeConfig};
 use concordia_ran::features::FeatureVec;
 
-/// Gradient-boosting hyperparameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GbtConfig {
-    /// Boosting rounds.
-    pub rounds: usize,
-    /// Learning rate (shrinkage).
-    pub learning_rate: f64,
-    /// Per-round tree shape.
-    pub tree: TreeConfig,
-}
-
-impl Default for GbtConfig {
-    fn default() -> Self {
-        GbtConfig {
-            rounds: 40,
-            learning_rate: 0.15,
-            tree: TreeConfig {
-                max_depth: 3,
-                min_leaf: 30,
-                n_thresholds: 12,
-            },
-        }
-    }
-}
+/// Boosting rounds of [`GradientBoosting::fit`].
+const ROUNDS: usize = 40;
+/// Learning rate (shrinkage).
+const LEARNING_RATE: f64 = 0.15;
+/// Per-round tree shape.
+const STAGE_TREE: TreeConfig = TreeConfig {
+    max_depth: 3,
+    min_leaf: 30,
+    n_thresholds: 12,
+};
 
 /// One boosted stage: a tree structure plus its leaf values.
 struct Stage {
@@ -50,18 +36,22 @@ pub struct GradientBoosting {
     feats: Vec<usize>,
     base: f64,
     stages: Vec<Stage>,
-    learning_rate: f64,
     /// Recent residuals (actual − mean prediction) and their upper bound.
     residuals: ResidualBound,
 }
 
 impl GradientBoosting {
     /// Fits the ensemble on `samples` restricted to `feats`.
-    pub fn fit(
+    pub fn fit(samples: &[TrainingSample], feats: &[usize], confidence: f64) -> Self {
+        Self::fit_rounds(samples, feats, confidence, ROUNDS)
+    }
+
+    /// [`GradientBoosting::fit`] with at most `rounds` boosting rounds.
+    pub(crate) fn fit_rounds(
         samples: &[TrainingSample],
         feats: &[usize],
         confidence: f64,
-        cfg: &GbtConfig,
+        rounds: usize,
     ) -> Self {
         assert!(!samples.is_empty());
         let xs: Vec<FeatureVec> = samples.iter().map(|s| s.x).collect();
@@ -71,11 +61,12 @@ impl GradientBoosting {
         let presort = Presort::new(&xs, feats);
 
         let mut pred = vec![base; ys.len()];
-        let mut stages = Vec::with_capacity(cfg.rounds);
-        for _ in 0..cfg.rounds {
+        let mut stages = Vec::with_capacity(rounds);
+        for _ in 0..rounds {
             // Least-squares gradients are plain residuals.
             let resid: Vec<f64> = ys.iter().zip(&pred).map(|(y, p)| y - p).collect();
-            let (tree, leaf_samples) = Tree::fit_presorted(&xs, &resid, feats, &cfg.tree, &presort);
+            let (tree, leaf_samples) =
+                Tree::fit_presorted(&xs, &resid, feats, &STAGE_TREE, &presort);
             if tree.n_leaves() <= 1 {
                 break; // residuals exhausted
             }
@@ -84,7 +75,7 @@ impl GradientBoosting {
                 .map(|idxs| idxs.iter().map(|&i| resid[i]).sum::<f64>() / idxs.len().max(1) as f64)
                 .collect();
             for (i, x) in xs.iter().enumerate() {
-                pred[i] += cfg.learning_rate * leaf_values[tree.leaf_of(x)];
+                pred[i] += LEARNING_RATE * leaf_values[tree.leaf_of(x)];
             }
             stages.push(Stage { tree, leaf_values });
         }
@@ -93,7 +84,6 @@ impl GradientBoosting {
             feats: feats.to_vec(),
             base,
             stages,
-            learning_rate: cfg.learning_rate,
             residuals: ResidualBound::new(confidence),
         };
         let start = samples.len().saturating_sub(RESIDUAL_BUFFER);
@@ -108,7 +98,7 @@ impl GradientBoosting {
     pub fn mean_us(&self, x: &FeatureVec) -> f64 {
         let mut v = self.base;
         for s in &self.stages {
-            v += self.learning_rate * s.leaf_values[s.tree.leaf_of(x)];
+            v += LEARNING_RATE * s.leaf_values[s.tree.leaf_of(x)];
         }
         v
     }
@@ -164,7 +154,7 @@ mod tests {
                 }
             })
             .collect();
-        let gbt = GradientBoosting::fit(&samples, &[0], 0.999, &GbtConfig::default());
+        let gbt = GradientBoosting::fit(&samples, &[0], 0.999);
         for v in [1.0, 5.0, 9.0] {
             let truth = 5.0 * v * v;
             let mean = gbt.mean_us(&fv(v));
@@ -188,11 +178,7 @@ mod tests {
             })
             .collect();
         let mae = |rounds| {
-            let cfg = GbtConfig {
-                rounds,
-                ..GbtConfig::default()
-            };
-            let g = GradientBoosting::fit(&samples, &[0], 0.999, &cfg);
+            let g = GradientBoosting::fit_rounds(&samples, &[0], 0.999, rounds);
             samples
                 .iter()
                 .map(|s| (g.mean_us(&s.x) - s.runtime_us).abs())
@@ -220,7 +206,7 @@ mod tests {
                 }
             })
             .collect();
-        let mut gbt = GradientBoosting::fit(&samples, &[0], 0.9999, &GbtConfig::default());
+        let mut gbt = GradientBoosting::fit(&samples, &[0], 0.9999);
         let mut misses = 0;
         for _ in 0..5_000 {
             let (v, y) = gen(&mut rng, 1.0);
@@ -252,7 +238,7 @@ mod tests {
                 runtime_us: 12.0,
             })
             .collect();
-        let gbt = GradientBoosting::fit(&samples, &[0], 0.99, &GbtConfig::default());
+        let gbt = GradientBoosting::fit(&samples, &[0], 0.99);
         assert_eq!(gbt.n_stages(), 0);
         assert!((gbt.mean_us(&fv(3.0)) - 12.0).abs() < 1e-9);
     }

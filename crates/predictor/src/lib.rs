@@ -14,7 +14,7 @@
 //! * `residual` — the two baselines' online residual bound: exact and
 //!   memoized, with an O(1) enclosing interval.
 //! * [`evt`] — conventional single-value pWCET via Gumbel block maxima
-//!   (§6.3, [23]).
+//!   (§6.3, \[23\]).
 
 pub mod api;
 pub mod evt;
@@ -31,7 +31,7 @@ pub use api::{
 };
 pub use evt::PwcetEvt;
 pub use featsel::{select_features, FeatSelConfig};
-pub use gbt::{GbtConfig, GradientBoosting};
+pub use gbt::GradientBoosting;
 pub use linreg::LinearRegression;
 pub use qdt::{LeafStatistic, QuantileDecisionTree, LEAF_BUFFER_CAPACITY};
 pub use tree::{Tree, TreeConfig};

@@ -34,8 +34,6 @@ pub struct QuantileDecisionTree {
     tree: Tree,
     leaves: Vec<MaxRingBuffer>,
     stat: LeafStatistic,
-    /// Safety margin applied multiplicatively to the leaf statistic.
-    margin: f64,
     /// Fallback prediction for leaves that lost all their samples (never
     /// happens in practice — buffers are seeded offline — but the predictor
     /// must stay total).
@@ -47,17 +45,16 @@ impl QuantileDecisionTree {
     /// subset `feats` (the output of Algorithm 1), then seeds every leaf
     /// buffer with its training samples.
     pub fn fit(samples: &[TrainingSample], feats: &[usize], cfg: &TreeConfig) -> Self {
-        Self::fit_with(samples, feats, cfg, LeafStatistic::Max, 1.0)
+        Self::fit_with(samples, feats, cfg, LeafStatistic::Max)
     }
 
-    /// [`QuantileDecisionTree::fit`] with an explicit leaf statistic and
-    /// multiplicative margin (for ablations).
+    /// [`QuantileDecisionTree::fit`] with an explicit leaf statistic (for
+    /// ablations).
     pub fn fit_with(
         samples: &[TrainingSample],
         feats: &[usize],
         cfg: &TreeConfig,
         stat: LeafStatistic,
-        margin: f64,
     ) -> Self {
         assert!(!samples.is_empty(), "offline phase needs samples");
         let xs: Vec<FeatureVec> = samples.iter().map(|s| s.x).collect();
@@ -78,7 +75,6 @@ impl QuantileDecisionTree {
             tree,
             leaves,
             stat,
-            margin,
             fallback_us: global_max,
         }
     }
@@ -141,7 +137,7 @@ impl QuantileDecisionTree {
 
 impl WcetPredictor for QuantileDecisionTree {
     fn predict_us(&self, x: &FeatureVec) -> f64 {
-        self.leaf_stat(self.tree.leaf_of(x)) * self.margin
+        self.leaf_stat(self.tree.leaf_of(x))
     }
 
     fn observe(&mut self, x: &FeatureVec, runtime_us: f64) {
@@ -417,26 +413,9 @@ mod tests {
             &[0, 1],
             &TreeConfig::default(),
             LeafStatistic::Quantile(0.99),
-            1.0,
         );
         let x = fv(8.0, 0.5);
         assert!(q99.predict_us(&x) <= qmax.predict_us(&x));
-    }
-
-    #[test]
-    fn margin_scales_predictions() {
-        let samples = synthetic(5_000, 10);
-        let base = QuantileDecisionTree::fit(&samples, &[0], &TreeConfig::default());
-        let margined = QuantileDecisionTree::fit_with(
-            &samples,
-            &[0],
-            &TreeConfig::default(),
-            LeafStatistic::Max,
-            1.2,
-        );
-        let x = fv(8.0, 0.5);
-        let ratio = margined.predict_us(&x) / base.predict_us(&x);
-        assert!((ratio - 1.2).abs() < 1e-9);
     }
 
     #[test]

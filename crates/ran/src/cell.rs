@@ -15,6 +15,14 @@ pub enum RanGeneration {
     Nr,
 }
 
+/// The longest DAG deadline a cell may have: the CLI, reconfiguration
+/// plans and repro artifacts refuse longer ones. The longest deadline any
+/// configuration in the repository runs is 2 ms. A sliced scenario scales
+/// a deadline by up to 2, and the simulation drains for one deadline past
+/// its run, so a run of `concordia_core::config::MAX_DURATION` plus twice
+/// this still fits the nanosecond clock with room to spare.
+pub const MAX_DEADLINE: Nanos = Nanos::from_secs(1);
+
 /// Static configuration of one vRAN cell.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CellConfig {

@@ -10,8 +10,10 @@ use serde::{Deserialize, Serialize};
 /// A point in time or a duration, in nanoseconds.
 ///
 /// The arithmetic is saturating on subtraction (durations can't go
-/// negative) and plain on addition; an experiment would need to run for
-/// ~584 years of simulated time to overflow.
+/// negative) and plain on addition. The clock holds ~584 years; durations
+/// and deadlines read from input are refused far below that (a run's
+/// `concordia_core::config::MAX_DURATION`, a DAG's
+/// [`MAX_DEADLINE`](crate::cell::MAX_DEADLINE)).
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
 )]
@@ -34,24 +36,6 @@ impl Nanos {
     /// Constructs from seconds.
     pub const fn from_secs(s: u64) -> Nanos {
         Nanos(s * 1_000_000_000)
-    }
-
-    /// Constructs from microseconds; `None` if the nanosecond count does
-    /// not fit in a `u64`. For values read from input.
-    pub const fn checked_from_micros(us: u64) -> Option<Nanos> {
-        match us.checked_mul(1_000) {
-            Some(ns) => Some(Nanos(ns)),
-            None => None,
-        }
-    }
-
-    /// Constructs from seconds; `None` if the nanosecond count does not fit
-    /// in a `u64`. For values read from input.
-    pub const fn checked_from_secs(s: u64) -> Option<Nanos> {
-        match s.checked_mul(1_000_000_000) {
-            Some(ns) => Some(Nanos(ns)),
-            None => None,
-        }
     }
 
     /// Constructs from a float microsecond count (rounds to nearest ns,
@@ -160,20 +144,6 @@ mod tests {
         assert_eq!(Nanos::from_secs(2).as_nanos(), 2_000_000_000);
         assert_eq!(Nanos::from_micros_f64(1.5).as_nanos(), 1_500);
         assert_eq!(Nanos::from_micros_f64(-3.0), Nanos::ZERO);
-        assert_eq!(Nanos::checked_from_micros(20), Some(Nanos::from_micros(20)));
-        assert_eq!(Nanos::checked_from_secs(2), Some(Nanos::from_secs(2)));
-        let max_us = u64::MAX / 1_000;
-        assert_eq!(
-            Nanos::checked_from_micros(max_us),
-            Some(Nanos(max_us * 1_000))
-        );
-        assert_eq!(Nanos::checked_from_micros(max_us + 1), None);
-        let max_s = u64::MAX / 1_000_000_000;
-        assert_eq!(
-            Nanos::checked_from_secs(max_s),
-            Some(Nanos(max_s * 1_000_000_000))
-        );
-        assert_eq!(Nanos::checked_from_secs(max_s + 1), None);
     }
 
     #[test]

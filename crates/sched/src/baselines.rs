@@ -11,7 +11,18 @@
 
 use concordia_platform::sched_api::{PoolScheduler, PoolView};
 use concordia_ran::time::Nanos;
-use serde::{Deserialize, Serialize};
+
+/// Re-evaluation period of the FlexRAN and Shenango baselines; small, to
+/// emulate the immediate yield/signal behaviour of queue-driven designs.
+const REACTIVE_TICK: Nanos = Nanos::from_micros(5);
+
+/// Re-evaluation period of the utilization scheduler (the paper adjusts
+/// per a few TTIs).
+const UTILIZATION_TICK: Nanos = Nanos::from_micros(500);
+
+/// The utilization scheduler removes a worker below this share of its
+/// high watermark.
+const LOW_WATERMARK_SHARE: f64 = 0.4;
 
 /// The vanilla FlexRAN work-conserving scheduler.
 ///
@@ -20,20 +31,8 @@ use serde::{Deserialize, Serialize};
 /// nothing to run and are re-acquired the moment work appears — which is
 /// exactly what produces its ~230 % higher scheduling-event count (Fig. 10)
 /// and its cold-cache interference exposure (Fig. 9).
-#[derive(Debug, Clone, Copy)]
-pub struct FlexRanScheduler {
-    /// Re-evaluation period; small, to emulate the immediate yield/signal
-    /// behaviour of the real queue-based design.
-    pub tick: Nanos,
-}
-
-impl Default for FlexRanScheduler {
-    fn default() -> Self {
-        FlexRanScheduler {
-            tick: Nanos::from_micros(5),
-        }
-    }
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FlexRanScheduler;
 
 impl PoolScheduler for FlexRanScheduler {
     fn target_cores(&mut self, view: &PoolView<'_>) -> u32 {
@@ -41,7 +40,7 @@ impl PoolScheduler for FlexRanScheduler {
     }
 
     fn tick(&self) -> Nanos {
-        self.tick
+        REACTIVE_TICK
     }
 }
 
@@ -52,17 +51,12 @@ pub struct ShenangoScheduler {
     /// sweeps 5–200 µs and finds no value that both meets deadlines and
     /// shares cores).
     pub queue_threshold: Nanos,
-    /// Re-evaluation period.
-    pub tick: Nanos,
 }
 
 impl ShenangoScheduler {
     /// Creates the scheduler with the given queueing-delay threshold.
     pub fn new(queue_threshold: Nanos) -> Self {
-        ShenangoScheduler {
-            queue_threshold,
-            tick: Nanos::from_micros(5),
-        }
+        ShenangoScheduler { queue_threshold }
     }
 }
 
@@ -84,29 +78,22 @@ impl PoolScheduler for ShenangoScheduler {
     }
 
     fn tick(&self) -> Nanos {
-        self.tick
+        REACTIVE_TICK
     }
 }
 
 /// The utilization-based scheduler of §6.3.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct UtilizationScheduler {
-    /// Add a worker when trailing utilization exceeds this.
+    /// Add a worker when trailing utilization exceeds this; remove one
+    /// when it falls below 40 % of it.
     pub high_watermark: f64,
-    /// Remove a worker when trailing utilization falls below this.
-    pub low_watermark: f64,
-    /// Re-evaluation period (the paper adjusts per a few TTIs).
-    pub tick: Nanos,
 }
 
 impl UtilizationScheduler {
     /// The paper's thresholds: 60 % (20 MHz config) or 30 % (100 MHz).
     pub fn new(high_watermark: f64) -> Self {
-        UtilizationScheduler {
-            high_watermark,
-            low_watermark: high_watermark * 0.4,
-            tick: Nanos::from_micros(500),
-        }
+        UtilizationScheduler { high_watermark }
     }
 }
 
@@ -118,7 +105,8 @@ impl PoolScheduler for UtilizationScheduler {
         let granted = view.granted_cores.max(1);
         if view.recent_utilization > self.high_watermark {
             (granted + 1).min(view.total_cores)
-        } else if view.recent_utilization < self.low_watermark && granted > 1 {
+        } else if view.recent_utilization < self.high_watermark * LOW_WATERMARK_SHARE && granted > 1
+        {
             granted - 1
         } else {
             granted
@@ -126,7 +114,7 @@ impl PoolScheduler for UtilizationScheduler {
     }
 
     fn tick(&self) -> Nanos {
-        self.tick
+        UTILIZATION_TICK
     }
 }
 
@@ -157,7 +145,7 @@ mod tests {
 
     #[test]
     fn flexran_is_work_conserving() {
-        let mut s = FlexRanScheduler::default();
+        let mut s = FlexRanScheduler;
         assert_eq!(s.target_cores(&view(0, 0, 8, 0, 0.0, &[])), 0);
         assert_eq!(s.target_cores(&view(3, 2, 2, 0, 0.5, &[])), 5);
         assert_eq!(s.target_cores(&view(20, 4, 8, 0, 1.0, &[])), 8);

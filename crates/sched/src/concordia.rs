@@ -1,5 +1,5 @@
 //! The Concordia scheduler: federated mixed-criticality scheduling of
-//! parallel DAG tasks (§3, building on Li et al. [61]).
+//! parallel DAG tasks (§3, building on Li et al. \[61\]).
 //!
 //! Every 20 µs the scheduler recomputes, for each active DAG, the minimum
 //! number of cores that suffices to finish its remaining predicted work by

@@ -5,7 +5,7 @@
 //! * [`concordia`] — the paper's contribution: a 20 µs federated
 //!   mixed-criticality deadline scheduler driven by per-DAG WCET
 //!   predictions, with a critical stage that evicts all best-effort work
-//!   when slack runs out (§3, [61]).
+//!   when slack runs out (§3, \[61\]).
 //! * [`baselines`] — vanilla FlexRAN (queue-driven), the Shenango variant
 //!   (queue-delay threshold) and the utilization-based scheduler (§6.3).
 //! * [`guard`] — misprediction guardrail: inflates WCET predictions after

@@ -10,14 +10,16 @@
 //!
 //! Artifacts are user-editable JSON (tweaking a severity by hand is a
 //! normal debugging move), so [`ReproArtifact::from_json`] validates the
-//! payload semantically — version, then [`Scenario::validate`] against the
-//! base configuration — and rejects nonsense with a typed
-//! [`ArtifactError`] instead of feeding it to the simulator.
+//! payload semantically — version, the base configuration's deadlines,
+//! then [`Scenario::validate`] against the base configuration — and
+//! rejects nonsense with a typed [`ArtifactError`] instead of feeding it to
+//! the simulator.
 
 use crate::oracle::{evaluate_scenarios, Oracle, Verdict};
 use crate::scenario::{InvalidScenario, Scenario};
 use concordia_core::config::SimConfig;
 use concordia_core::runner::BatchEval;
+use concordia_ran::cell::MAX_DEADLINE;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -75,7 +77,8 @@ impl ReproArtifact {
         Ok(artifact)
     }
 
-    /// Semantic validation: version, then the scenario against the base
+    /// Semantic validation: version, the base configuration's deadlines
+    /// (at most [`MAX_DEADLINE`]), then the scenario against the base
     /// configuration it replays on.
     pub fn validate(&self) -> Result<(), ArtifactError> {
         if self.format_version != ARTIFACT_VERSION {
@@ -83,6 +86,19 @@ impl ReproArtifact {
                 found: self.format_version,
                 expected: ARTIFACT_VERSION,
             });
+        }
+        let deadlines = [
+            ("cell.deadline", Some(self.base.cell.deadline)),
+            ("deadline_override", self.base.deadline_override),
+        ];
+        for (field, deadline) in deadlines {
+            if let Some(d) = deadline.filter(|&d| d > MAX_DEADLINE) {
+                return Err(ArtifactError::Base(format!(
+                    "{field} {} is above the maximum of {}",
+                    d.as_nanos(),
+                    MAX_DEADLINE.as_nanos()
+                )));
+            }
         }
         self.scenario
             .validate(self.base.scenario.as_ref())
@@ -102,6 +118,8 @@ pub enum ArtifactError {
         /// Version this build reads.
         expected: u32,
     },
+    /// The base configuration is out of range.
+    Base(String),
     /// The scenario is invalid.
     Scenario(InvalidScenario),
 }
@@ -114,6 +132,7 @@ impl fmt::Display for ArtifactError {
                 f,
                 "artifact format version {found} (this build reads {expected})"
             ),
+            ArtifactError::Base(e) => write!(f, "artifact base: {e}"),
             ArtifactError::Scenario(e) => e.fmt(f),
         }
     }
@@ -218,6 +237,23 @@ mod tests {
                 "load",
             ),
             (
+                Box::new(|a: &mut ReproArtifact| a.scenario.load = 1.5),
+                "load 1.5 is not a fraction",
+            ),
+            (
+                Box::new(|a: &mut ReproArtifact| {
+                    a.base.deadline_override = Some(concordia_ran::time::Nanos(1_000_000_001))
+                }),
+                "base: deadline_override 1000000001 is above the maximum",
+            ),
+            (
+                Box::new(|a: &mut ReproArtifact| {
+                    // The probe: the most microseconds the clock holds.
+                    a.base.cell.deadline = concordia_ran::time::Nanos(18_446_744_073_709_551_000)
+                }),
+                "base: cell.deadline 18446744073709551000 is above the maximum",
+            ),
+            (
                 Box::new(|a: &mut ReproArtifact| a.scenario.n_cells = 1025),
                 "n_cells 1025 is above the maximum",
             ),
@@ -231,6 +267,10 @@ mod tests {
             let err = ReproArtifact::from_json(&a.to_canonical_json()).expect_err(needle);
             assert!(err.to_string().contains(needle), "{err}");
         }
+        let mut a = artifact();
+        a.base.cell.deadline = MAX_DEADLINE;
+        a.base.deadline_override = Some(MAX_DEADLINE);
+        assert!(ReproArtifact::from_json(&a.to_canonical_json()).is_ok());
     }
 
     #[test]

@@ -129,14 +129,23 @@ mod tests {
 
     #[test]
     fn out_of_range_scenarios_are_rejected_with_their_index() {
-        let mut scs = scenarios();
-        scs[1].load = -1.0;
-        let err = parse_corpus(&corpus_json(&scs)).expect_err("bad load");
-        assert!(
-            matches!(err, CorpusError::Scenario { index: 1, .. }),
-            "{err}"
-        );
-        assert!(err.to_string().contains("#1"), "{err}");
+        // A load above 1 panicked in the traffic generator.
+        for load in [-1.0, 1.5] {
+            let mut scs = scenarios();
+            scs[1].load = load;
+            let err = parse_corpus(&corpus_json(&scs)).expect_err("bad load");
+            assert!(
+                matches!(
+                    err,
+                    CorpusError::Scenario {
+                        index: 1,
+                        err: InvalidScenario::Dimension(_)
+                    }
+                ),
+                "{err}"
+            );
+            assert!(err.to_string().contains("#1"), "{err}");
+        }
     }
 
     #[test]

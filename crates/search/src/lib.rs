@@ -27,7 +27,7 @@
 //!   one budget and the whole search is a pure function of
 //!   `(base config, space, oracle, strategy, settings)` — `--jobs` never
 //!   changes a byte of the [`SearchReport`].
-//! * [`shrink`] — delta-debugging minimization: drop fault windows, drop
+//! * [`shrink`](mod@shrink) — delta-debugging minimization: drop fault windows, drop
 //!   plan steps, shorten the experiment, reduce cells/load, narrow window
 //!   durations and severities; a candidate is accepted only when it is
 //!   strictly smaller *and* still fails the oracle.

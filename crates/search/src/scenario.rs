@@ -15,7 +15,7 @@
 //! guarantees termination and gives "minimal counterexample" a precise
 //! meaning.
 
-use concordia_core::config::{SimConfig, MAX_CELLS};
+use concordia_core::config::{SimConfig, MAX_CELLS, MAX_DURATION};
 use concordia_core::reconfig::{ReconfigPlan, ReconfigPlanError, ReconfigStep};
 use concordia_core::{ScenarioError, ScenarioSpec};
 use concordia_platform::faults::{FaultKind, FaultPlan, FaultPlanError, FaultSpec};
@@ -102,11 +102,16 @@ impl Scenario {
         if self.duration.as_nanos() == 0 {
             return bad("duration must be positive");
         }
-        if !self.load.is_finite() || self.load <= 0.0 {
+        if self.duration > MAX_DURATION {
             return bad(&format!(
-                "load {} is not a positive finite fraction",
-                self.load
+                "duration {} is above the maximum of {}",
+                self.duration.as_nanos(),
+                MAX_DURATION.as_nanos()
             ));
+        }
+        // The traffic generator asserts a load of at most 1.
+        if !(self.load > 0.0 && self.load <= 1.0) {
+            return bad(&format!("load {} is not a fraction in (0, 1]", self.load));
         }
         self.faults.validate().map_err(InvalidScenario::Faults)?;
         if let Some(plan) = &self.reconfig {
@@ -450,7 +455,20 @@ mod tests {
         let mut sc = space().baseline();
         sc.n_cells = MAX_CELLS;
         sc.cores = MAX_CORES;
+        sc.duration = MAX_DURATION;
         assert_eq!(sc.validate(None), Ok(()));
+        // One nanosecond more, and the probe whose fault windows'
+        // `start + duration` overflowed the clock.
+        for ns in [MAX_DURATION.as_nanos() + 1, u64::MAX] {
+            let mut long = sc.clone();
+            long.duration = Nanos(ns);
+            assert_eq!(
+                long.validate(None),
+                Err(InvalidScenario::Dimension(format!(
+                    "duration {ns} is above the maximum of 1000000000000000"
+                )))
+            );
+        }
         let mut cells = sc.clone();
         cells.n_cells = MAX_CELLS + 1;
         assert_eq!(

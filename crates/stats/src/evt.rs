@@ -1,7 +1,7 @@
 //! Extreme-value theory: block maxima and Gumbel fitting.
 //!
 //! The conventional probabilistic-WCET baseline the paper compares against in
-//! §6.3 ([23], measurement-based probabilistic timing analysis) predicts a
+//! §6.3 (\[23\], measurement-based probabilistic timing analysis) predicts a
 //! *single* WCET per task — regardless of input — at a confidence such as
 //! 0.99999, by fitting an extreme-value distribution to block maxima of
 //! observed runtimes. `GumbelFit` implements that estimator.

@@ -73,12 +73,11 @@ fn ks_separates_traffic_loads_but_not_seeds() {
 fn log2_histogram_matches_oslat_tail_accounting() {
     // The Fig. 10 readout (count of wakes >= 64 us) computed through the
     // histogram must equal a direct count.
-    let model = concordia::platform::OsLatencyModel::default();
     let mut rng = Rng::new(9);
     let mut hist = Log2Histogram::new();
     let mut direct = 0u64;
     for _ in 0..200_000 {
-        let us = model.sample_wake(1.5, &mut rng).as_micros_f64();
+        let us = concordia::platform::oslat::sample_wake(1.5, &mut rng).as_micros_f64();
         hist.record(us as u64);
         // The histogram buckets by the integer microsecond value; >= 64
         // in bucket space means the truncated value's bucket lower bound
